@@ -26,7 +26,16 @@
 // sticky on/off, blobs on/off, and worker counts; and the optimizer's
 // pipelined generation overlap (stage-2 of generation g merged with the
 // screens of g+1) must reproduce the serial per-generation path bit-for-bit
-// across thread counts.  Violations exit non-zero so CI fails.
+// across thread counts.
+//
+// Last, the observability-overhead gate: Monte-Carlo samples of the 5T OTA
+// through a warm scheduler session (process apply, DC Newton, AC probes)
+// with span tracing and timing histograms armed must run within 3% of the
+// disarmed time.  The estimate is the median over repetitions of the
+// armed/disarmed ratio measured back to back inside each repetition, so
+// host frequency drift between repetitions cancels inside the pair; many
+// short repetitions keep each pair inside one phase of a shared host's
+// background load.  Violations exit non-zero so CI fails.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -36,12 +45,16 @@
 #include <vector>
 
 #include "bench/bench_support.hpp"
+#include "src/circuits/circuit_yield.hpp"
+#include "src/circuits/topology.hpp"
 #include "src/common/parallel.hpp"
 #include "src/common/table.hpp"
 #include "src/core/moheco.hpp"
 #include "src/mc/candidate_yield.hpp"
 #include "src/mc/eval_scheduler.hpp"
 #include "src/mc/synthetic.hpp"
+#include "src/obs/metrics.hpp"
+#include "src/obs/trace.hpp"
 #include "src/stats/rng.hpp"
 
 namespace {
@@ -202,6 +215,45 @@ RunFingerprint optimizer_fingerprint(bool overlap, int threads) {
   return fp;
 }
 
+/// Median over `reps` repetitions of (armed time / disarmed time) for
+/// `samples` 5T OTA Monte-Carlo samples on one warm scheduler session.
+double observability_overhead(int samples, int reps, std::uint64_t seed) {
+  const circuits::CircuitYieldProblem problem(
+      circuits::make_five_transistor_ota());
+  std::vector<double> x(problem.num_design_vars());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = 0.5 * (problem.lower_bound(i) + problem.upper_bound(i));
+  }
+  ThreadPool pool(1);
+  mc::EvalScheduler scheduler(pool);
+  mc::CandidateYield tally(problem, x, seed);
+  mc::SimCounter sims;
+  const mc::McOptions mc_options;
+  const auto timed_flush = [&] {
+    const auto start = std::chrono::steady_clock::now();
+    scheduler.enqueue(tally, samples, mc_options);
+    scheduler.flush(sims, mc::SimPhase::kOther);
+    return seconds_since(start);
+  };
+  const auto arm = [](bool on) {
+    obs::set_timing_enabled(on);
+    obs::set_trace_enabled(on);
+  };
+  timed_flush();  // opens the session: every timed flush runs warm
+  std::vector<double> ratios;
+  for (int rep = 0; rep < reps; ++rep) {
+    arm(false);
+    const double off_s = timed_flush();
+    arm(true);
+    const double on_s = timed_flush();
+    ratios.push_back(on_s / off_s);
+  }
+  arm(false);
+  obs::trace_reset();
+  std::sort(ratios.begin(), ratios.end());
+  return ratios[ratios.size() / 2];
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -343,16 +395,37 @@ int main(int argc, char** argv) {
     }
   }
   ok = ok && pipeline_ok;
+
+  const double obs_overhead = observability_overhead(
+      smoke ? 600 : 1500, smoke ? 15 : 21, options.seed);
+  if (obs_overhead > 1.03) {
+    std::fprintf(stderr,
+                 "FAIL observability overhead %.4fx > 1.03x on the 5T OTA "
+                 "sample path with tracing+timing armed\n",
+                 obs_overhead);
+    ok = false;
+  }
+  Table obs_table({"instrumentation", "overhead"});
+  char ov[32];
+  std::snprintf(ov, sizeof(ov), "%.4fx", obs_overhead);
+  obs_table.add_row({"tracing + timing armed vs disarmed", ov});
+  obs_table.print(std::cout, "Observability overhead, 5T OTA warm sample path");
+
   std::cout << "gates: identical tallies, >=1.5x samples/sec @8 workers, "
                ">=3x fewer cold session opens (nominal re-measurements) on "
                "the eviction-heavy workload, "
                "pipelined == serial generation path ("
-            << (pipeline_ok ? "ok" : "FAIL") << ")\n";
+            << (pipeline_ok ? "ok" : "FAIL")
+            << "), observability overhead <=1.03x ("
+            << (obs_overhead <= 1.03 ? "ok" : "FAIL") << ")\n";
 
+  char tail[64];
+  std::snprintf(tail, sizeof(tail), ",\"obs_overhead\":%.4f", obs_overhead);
   if (!bench::write_bench_json(
           options.json, "bench_micro_warmpath",
           "\"scenarios\":[" + json_rows + "],\"pipeline_equivalent\":" +
-              (pipeline_ok ? std::string("true") : std::string("false")))) {
+              (pipeline_ok ? std::string("true") : std::string("false")) +
+              tail)) {
     return 1;
   }
   return ok ? 0 : 1;

@@ -58,7 +58,6 @@ core::MohecoOptions base_options(const BenchOptions& bench) {
 circuits::EvalOptions eval_options(const BenchOptions& bench) {
   circuits::EvalOptions options;
   options.transient = bench.transient;
-  options.batch = bench.batch;
   return options;
 }
 
@@ -217,11 +216,9 @@ bool write_bench_json(const std::string& path, const std::string& bench,
                       const std::string& body) {
   if (path.empty()) return true;
   std::ofstream out(path);
-  // Every bench JSON carries the host's SIMD capability header: perf
-  // numbers are only comparable between runs whose kernels dispatched the
-  // same vector width (CI's regression gate checks this before comparing).
-  // The build identity header pins which binary produced the numbers
-  // (version, compiler, SIMD build flag) for artifact forensics.
+  // Every bench JSON carries the host's SIMD capability header and the
+  // build identity (version, compiler), so a number can be traced to the
+  // machine and binary that produced it.
   out << "{\"" << bench << "\":{\"simd\":" << json_simd_caps()
       << ",\"build\":" << obs::build_json() << "," << body << "}}\n";
   out.flush();

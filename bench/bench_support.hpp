@@ -41,8 +41,7 @@ core::MohecoOptions base_options(const BenchOptions& bench);
 
 /// Circuit-evaluation options implied by the bench flags: --transient turns
 /// on the step-bench transient per sample, which also registers the
-/// topology's slew-rate / settling-time specs in the yield criterion, and
-/// --batch=K selects the SoA evaluation batch width.
+/// topology's slew-rate / settling-time specs in the yield criterion.
 circuits::EvalOptions eval_options(const BenchOptions& bench);
 
 struct StudyData {

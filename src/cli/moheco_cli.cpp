@@ -97,9 +97,6 @@ void print_usage() {
                "  --transient           step-bench transient per sample (deck needs\n"
                "                        a .probe step card)\n"
                "  --backend=dense|sparse|auto\n"
-               "  --batch=K             evaluate K MC samples per solver batch\n"
-               "                        (SoA kernels; tallies identical at any\n"
-               "                        K; 0 autoselects the host width)\n"
                "\n"
                "outputs:\n"
                "  --json=PATH           machine-readable results\n"
@@ -252,13 +249,6 @@ CliOptions parse_cli(int argc, char** argv) {
         cli.eval.backend = spice::SolverBackend::kAuto;
       } else {
         throw InvalidArgument("moheco_cli: unknown backend in '" + arg + "'");
-      }
-    } else if (key == "--batch") {
-      cli.eval.batch = need_int32(arg, value);
-      const std::string err =
-          circuits::EvalConfig::validate_batch(cli.eval.batch, "--batch");
-      if (!err.empty()) {
-        throw InvalidArgument("moheco_cli: " + err);
       }
     } else if (key == "--json") {
       cli.json_path = value;

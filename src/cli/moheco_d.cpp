@@ -16,7 +16,6 @@
 #include <string>
 #include <thread>
 
-#include "src/circuits/evaluator.hpp"
 #include "src/common/error.hpp"
 #include "src/common/failpoint.hpp"
 #include "src/common/log.hpp"
@@ -48,9 +47,7 @@ void print_usage() {
                "                        (ResultsCache path)\n"
                "  --result-cache=N      in-memory result entries (default 256)\n"
                "  --warm-cache=N        in-memory warm-blob entries (default 64)\n"
-               "  --batch=K             evaluation batch width for jobs that do not\n"
-               "                        set options.batch themselves (default 1;\n"
-               "                        0 autoselects the host width)\n"
+
                "  --deadline-ms=N       wall-clock deadline for jobs that do not set\n"
                "                        options.deadline_ms themselves (default 0 =\n"
                "                        none); expired jobs fail with code 'deadline'\n"
@@ -136,19 +133,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       options.warm_cache_entries = static_cast<std::size_t>(parsed);
-    } else if (key == "--batch") {
-      std::string err;
-      if (!parse_int_flag(value, &parsed)) {
-        err = "--batch must be an integer";
-      } else {
-        err = circuits::EvalConfig::validate_batch(parsed, "--batch");
-      }
-      if (!err.empty()) {
-        std::fprintf(stderr, "moheco_d: %s (in '%s')\n", err.c_str(),
-                     arg.c_str());
-        return 2;
-      }
-      options.default_batch = parsed;
     } else if (key == "--deadline-ms") {
       if (!parse_int_flag(value, &parsed) || parsed < 0) {
         std::fprintf(stderr, "moheco_d: bad deadline in '%s'\n", arg.c_str());

@@ -16,7 +16,6 @@ std::array<std::atomic<std::uint64_t>, kNumLadderStages>& counters() {
 
 constexpr const char* kStageNames[kNumLadderStages] = {
     "sparse_to_dense",
-    "lane_demotion",
     "sample_infeasible",
     "warm_blob_rejected",
 };
@@ -35,7 +34,6 @@ void ladder_count(Ladder stage) {
       &obs::registry().counter(std::string("fail.") + kStageNames[0]),
       &obs::registry().counter(std::string("fail.") + kStageNames[1]),
       &obs::registry().counter(std::string("fail.") + kStageNames[2]),
-      &obs::registry().counter(std::string("fail.") + kStageNames[3]),
   };
   rungs[static_cast<int>(stage)]->add(1);
 }

@@ -1,12 +1,11 @@
 // Process-global degradation-ladder accounting.
 //
 // Every graceful-degradation step in the stack (sparse LU falling back to
-// dense, a batched lane demoting to scalar, a sample marked infeasible
-// after solver failure, a warm-start blob rejected as corrupt) counts its
-// use here, so one run-level report can say how often each rung was hit.
-// Counters are process-global because the solver layers have no channel to
-// a per-run SimCounter; callers snapshot before/after a run and report the
-// delta.
+// dense, a sample marked infeasible after solver failure, a warm-start blob
+// rejected as corrupt) counts its use here, so one run-level report can say
+// how often each rung was hit.  Counters are process-global because the
+// solver layers have no channel to a per-run SimCounter; callers snapshot
+// before/after a run and report the delta.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +15,6 @@ namespace moheco::fail {
 
 enum class Ladder : int {
   kSparseToDense = 0,   // sparse LU breakdown retried with dense LU
-  kLaneDemotion,        // batched-lane breakdown redone scalar per lane
   kSampleInfeasible,    // solver failure turned into a failed MC sample
   kWarmBlobRejected,    // corrupt warm blob dropped, session opened cold
   kNumLadderStages,

@@ -4,7 +4,6 @@
 #include <sstream>
 #include <string_view>
 
-#include "src/circuits/evaluator.hpp"
 #include "src/common/error.hpp"
 #include "src/common/log.hpp"
 
@@ -63,12 +62,6 @@ BenchOptions parse_bench_options(int argc, char** argv) {
   if (const char* env = std::getenv("MOHECO_TRANSIENT")) {
     options.transient = std::string_view(env) != "0";
   }
-  if (const char* env = std::getenv("MOHECO_BATCH")) {
-    options.batch = static_cast<int>(std::strtol(env, nullptr, 10));
-    const std::string err =
-        circuits::EvalConfig::validate_batch(options.batch, "MOHECO_BATCH");
-    require(err.empty(), err);
-  }
 
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
@@ -88,11 +81,6 @@ BenchOptions parse_bench_options(int argc, char** argv) {
       options.threads = std::atoi(std::string(value).c_str());
     } else if (consume(arg, "--json=", &value)) {
       options.json = std::string(value);
-    } else if (consume(arg, "--batch=", &value)) {
-      options.batch = std::atoi(std::string(value).c_str());
-      const std::string err =
-          circuits::EvalConfig::validate_batch(options.batch, "--batch");
-      require(err.empty(), err);
     } else if (arg == "--transient") {
       options.transient = true;
     } else if (arg == "--verbose" || arg == "-v") {
@@ -102,7 +90,7 @@ BenchOptions parse_bench_options(int argc, char** argv) {
       // Benches print their own usage; rethrow as a sentinel.
       throw InvalidArgument(
           "usage: [--scale=smoke|default|full] [--runs=N] [--ref=N] "
-          "[--seed=N] [--threads=N] [--json=PATH] [--batch=K] [--transient] "
+          "[--seed=N] [--threads=N] [--json=PATH] [--transient] "
           "[--verbose]");
     } else {
       throw InvalidArgument("unknown argument: " + std::string(arg));
@@ -120,12 +108,6 @@ std::string describe(const BenchOptions& options) {
       << " runs=" << options.runs << " ref-mc=" << options.reference_samples
       << " seed=" << options.seed;
   if (options.transient) oss << " transient=on";
-  if (options.batch == circuits::EvalConfig::kBatchAuto) {
-    oss << " batch=auto(" << circuits::EvalConfig::resolve_batch(options.batch)
-        << ")";
-  } else if (options.batch > 1) {
-    oss << " batch=" << options.batch;
-  }
   return oss.str();
 }
 

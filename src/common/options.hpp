@@ -28,20 +28,15 @@ struct BenchOptions {
   /// Evaluate samples with the step-bench transient as well: slew-rate and
   /// settling-time specs join the yield criterion (~100x per-sample cost).
   bool transient = false;
-  /// Evaluation batch width (circuits::EvalConfig::batch): K MC samples per
-  /// SoA solver batch.  Tallies are identical at any K; 0 autoselects the
-  /// host's preferred width (EvalConfig::resolve_batch).
-  int batch = 1;
   /// When non-empty, benches that support it also write their metrics as a
   /// JSON object to this path (the CI perf-tracking artifact).
   std::string json;
 };
 
 /// Reads MOHECO_SCALE / MOHECO_SEED / MOHECO_THREADS / MOHECO_LOG /
-/// MOHECO_TRANSIENT / MOHECO_BATCH from the environment, then overrides
-/// from argv (--scale=, --runs=, --ref=, --seed=, --threads=, --json=,
-/// --batch=, --transient, --verbose).  Unknown arguments throw
-/// InvalidArgument.
+/// MOHECO_TRANSIENT from the environment, then overrides from argv
+/// (--scale=, --runs=, --ref=, --seed=, --threads=, --json=, --transient,
+/// --verbose).  Unknown arguments throw InvalidArgument.
 BenchOptions parse_bench_options(int argc, char** argv);
 
 /// Human-readable one-line summary, printed in bench headers.

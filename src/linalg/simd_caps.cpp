@@ -1,17 +1,12 @@
 #include "src/linalg/simd_caps.hpp"
 
-#include <atomic>
-
 namespace moheco::linalg {
 namespace {
 
 SimdCaps probe() {
   SimdCaps caps;
-#if defined(MOHECO_WIDE_LANES) && (defined(__x86_64__) || defined(__i386__)) && \
+#if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
-  // The probe is only meaningful when the wide translation units were
-  // built; otherwise there is nothing to dispatch to and the portable
-  // two-wide kernels are the ceiling.
   caps.avx2 = __builtin_cpu_supports("avx2") != 0;
   caps.avx512f = __builtin_cpu_supports("avx512f") != 0;
   caps.max_lane_width = caps.avx512f ? 8 : caps.avx2 ? 4 : 2;
@@ -19,36 +14,11 @@ SimdCaps probe() {
   return caps;
 }
 
-// 0 = "uncapped": follow simd_caps().max_lane_width.  Relaxed is enough --
-// the cap is a bench/test knob flipped between timed sections, never raced
-// against the kernels for correctness (any cap gives identical bits).
-std::atomic<int> dispatch_cap{0};
-
 }  // namespace
 
 const SimdCaps& simd_caps() {
   static const SimdCaps caps = probe();
   return caps;
-}
-
-int simd_dispatch_cap() {
-  const int cap = dispatch_cap.load(std::memory_order_relaxed);
-  return cap == 0 ? simd_caps().max_lane_width : cap;
-}
-
-void set_simd_dispatch_cap(int width) {
-  int cap = width < 2 ? 2 : width;
-  const int max = simd_caps().max_lane_width;
-  if (cap > max) cap = max;
-  dispatch_cap.store(cap, std::memory_order_relaxed);
-}
-
-int simd_dispatch_width(std::size_t lanes) {
-  const int cap = simd_dispatch_cap();
-  if (lanes == 8 && cap >= 8) return 8;
-  if ((lanes == 4 || lanes == 8) && cap >= 4) return 4;
-  if (lanes == 2 || lanes == 4 || lanes == 8) return 2;
-  return 1;  // scalar / any-width fallback (non-dispatch widths: 3, 5, 7, >8)
 }
 
 }  // namespace moheco::linalg

@@ -1,50 +1,23 @@
-// Runtime SIMD capability probe for the batched lane kernels.
+// Host SIMD capability report.
 //
-// The wide SparseLuBatch kernels (4/8 doubles per vector op) are compiled
-// unconditionally into ISA-specific translation units (see
-// src/linalg/sparse_lanes_*.cpp and the per-file flags in CMakeLists.txt);
-// whether they may EXECUTE is a property of the host the binary lands on,
-// not of the build.  simd_caps() probes the CPU once so a stock release
-// build (no -DMOHECO_SIMD / -march=native) still dispatches AVX2/AVX-512
-// lanes on capable hosts, and a binary built anywhere never faults on a
-// host without them.
-//
-// Dispatch never changes results: every kernel width is elementwise IEEE
-// arithmetic, bit-identical per lane to the scalar path, so heterogeneous
-// fleets (some hosts AVX-512, some not) still produce identical tallies,
-// result-cache entries and warm blobs.
+// simd_caps() probes the CPU once and reports which vector ISAs it
+// executes.  Nothing in the solvers dispatches on it: it is host identity
+// for obs::build_json() (`moheco_cli --version`, `op=ping`) and the bench
+// headers, so numbers measured on different machines can be told apart.
 #pragma once
-
-#include <cstddef>
 
 namespace moheco::linalg {
 
 struct SimdCaps {
   bool avx2 = false;     ///< host executes AVX2 (4-double ymm ops)
   bool avx512f = false;  ///< host executes AVX-512F (8-double zmm ops)
-  /// Widest kernel vector width (doubles per op) the dispatcher may use:
-  /// 8 on AVX-512F, 4 on AVX2, else 2 (the portable two-wide primitives).
+  /// Widest vector width (doubles per op) the host executes: 8 on
+  /// AVX-512F, 4 on AVX2, else 2 (SSE2, the x86-64 baseline).
   int max_lane_width = 2;
 };
 
 /// Host capabilities, probed once (CPUID via __builtin_cpu_supports on
-/// x86); hosts where the wide translation units are not built report the
-/// portable width regardless of hardware.
+/// x86; the baseline report elsewhere).
 const SimdCaps& simd_caps();
-
-/// Kernel vector width SparseLuBatch will dispatch for `lanes` value lanes
-/// under the current cap: 8/4 route to the wide AVX-512F/AVX2 kernels, 2 to
-/// the portable two-wide primitives, 1 to the scalar/any-width fallback.
-int simd_dispatch_width(std::size_t lanes);
-
-/// Current dispatch cap (doubles per vector op), defaulting to
-/// simd_caps().max_lane_width.
-int simd_dispatch_cap();
-
-/// Clamps the dispatch cap into [2, simd_caps().max_lane_width].  The
-/// benches use this to measure every kernel width on one host (cap 2
-/// reproduces the portable two-wide build exactly); results are identical
-/// at any cap, only throughput changes.
-void set_simd_dispatch_cap(int width);
 
 }  // namespace moheco::linalg

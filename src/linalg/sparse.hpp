@@ -30,9 +30,6 @@ namespace moheco::linalg {
 template <typename Scalar>
 class SparseMatrix;
 
-template <typename Scalar>
-class SparseLuBatch;
-
 /// Collects (row, col) stamp positions for a square pattern.  Duplicate
 /// positions are allowed (they merge into one slot at finalize time), so a
 /// stamping loop can record its natural add sequence and later replay the
@@ -164,100 +161,9 @@ class SparseLuSolver {
   std::vector<Scalar> x_;
   std::vector<int> flag_, stack_, child_, topo_;
   mutable std::vector<Scalar> y_, work_;
-
-  friend class SparseLuBatch<Scalar>;
 };
 
 extern template class SparseLuSolver<double>;
 extern template class SparseLuSolver<std::complex<double>>;
-
-/// Batched (structure-of-arrays) numeric companion to SparseLuSolver: one
-/// symbolic analysis, K value lanes factored and solved at once.
-///
-/// Values and right-hand sides are laid out SoA -- `v[slot * lanes + lane]`
-/// -- so every elimination step walks the host's recorded structures once
-/// and applies the identical per-step arithmetic to K contiguous lanes.
-/// Lane arithmetic never mixes, the pivot order is the host's recorded
-/// sequence, and the x == 0 update-skips of the scalar kernels are
-/// preserved (an all-lanes-nonzero fast path keeps the vector loop
-/// branch-free; mixed lanes fall back to per-lane skips so even signed
-/// zeros match).  Each lane's factors and solution are therefore
-/// bit-identical to a scalar refactor()+solve() of that lane's values.
-///
-/// Kernel selection is a RUNTIME decision: lane counts 4 and 8 dispatch to
-/// 4/8-wide vector kernels compiled into ISA-specific translation units
-/// (sparse_lanes_avx2.cpp / sparse_lanes_avx512.cpp) when simd_caps()
-/// reports the host executes them, so a stock release build (no
-/// -DMOHECO_SIMD) still gets AVX2/AVX-512 lanes on capable hosts.  The
-/// portable two-wide primitives and the scalar/any-width fallback remain
-/// for every other width and host; every choice produces the same bits.
-///
-/// Breakdown is all-or-nothing: if ANY lane's replayed pivot degrades,
-/// refactor() returns false and leaves the host untouched, so the caller
-/// can replay every lane through the scalar path sequentially -- exactly
-/// reproducing the scalar evaluation-order semantics (including the fresh
-/// fully-pivoted factor() the breakdown lane would have triggered).
-template <typename Scalar>
-class SparseLuBatch {
- public:
-  /// Numeric refactorization of `lanes` value lanes against `host`'s cached
-  /// symbolic analysis (`host.analyzed()` must hold; the pattern comes from
-  /// `a`).  `soa_values` holds a.nnz() * lanes entries, slot-major.
-  /// Returns false -- without touching `host` or keeping any factorization
-  /// -- when the host has no analysis or any lane hits pivot breakdown.
-  bool refactor(const SparseLuSolver<Scalar>& host, const SparseMatrix<Scalar>& a,
-                const std::vector<Scalar>& soa_values, std::size_t lanes);
-
-  /// Lane-major variant: `values[lane * lane_stride + slot]` with
-  /// `lane_stride >= a.nnz()`.  Lets a caller that assembles each lane into
-  /// a compact per-lane buffer (cache-friendly stamping) hand those buffers
-  /// over directly -- the kernels gather the lanes while scattering each
-  /// column into the workspace, so no slot-major transpose is ever
-  /// materialized.  Bit-identical to refactor() of the transposed values.
-  bool refactor_lane_major(const SparseLuSolver<Scalar>& host,
-                           const SparseMatrix<Scalar>& a, const Scalar* values,
-                           std::size_t lane_stride, std::size_t lanes);
-
-  /// Solves all lanes of the last successful refactor(); `b` is SoA
-  /// (`b[i * lanes + lane]`) and is overwritten with the solutions.
-  void solve(std::vector<Scalar>& b) const;
-
-  std::size_t lanes() const { return lanes_; }
-
-  /// Vector width (doubles per op) of the kernel the last refactor()
-  /// dispatched: 8/4 = wide AVX-512F/AVX2 TU, 2 = portable two-wide
-  /// primitives, 1 = scalar/any-width fallback.  Diagnostics only; every
-  /// width produces identical bits.
-  int kernel_width() const { return kernel_width_; }
-
- private:
-  /// Shared body of the two refactor entry points: `values` is addressed as
-  /// `values[slot * slot_stride + lane * lane_stride]`.
-  bool refactor_impl(const SparseLuSolver<Scalar>& host,
-                     const SparseMatrix<Scalar>& a, const Scalar* values,
-                     std::size_t slot_stride, std::size_t lane_stride,
-                     std::size_t lanes);
-
-  const SparseLuSolver<Scalar>* host_ = nullptr;
-  std::size_t lanes_ = 0;
-  int kernel_width_ = 1;
-  // SoA numeric factors parallel to the host's symbolic arrays.  The
-  // vectors over-allocate by up to one cache line; refactor() carves
-  // 64-byte-aligned bases out of them (at K=8 doubles a lane row slice is
-  // exactly one line, so alignment keeps every row access on a single
-  // line) and records them here for solve() to stream the same layout.
-  std::vector<Scalar> lval_, uval_, udiag_;
-  Scalar* lbase_ = nullptr;
-  Scalar* ubase_ = nullptr;
-  Scalar* dbase_ = nullptr;
-  std::vector<Scalar> x_;       ///< workspace, n * lanes, all-zero between
-                                ///< successful refactors (kernel invariant)
-  bool x_dirty_ = false;        ///< a breakdown abort left x_ non-zero
-  std::vector<double> colmax_;  ///< per-lane pivot-check scratch
-  mutable std::vector<Scalar> y_;
-};
-
-extern template class SparseLuBatch<double>;
-extern template class SparseLuBatch<std::complex<double>>;
 
 }  // namespace moheco::linalg

@@ -394,10 +394,10 @@ void EvalScheduler::flush(SimCounter& sims, SimPhase phase) {
         return;
       }
       const std::size_t dim = job.tally->problem().noise_dim();
-      // Hand the session K-lane blocks of this candidate's samples (rows are
-      // contiguous in the row-major sample matrix).  Batched results are
-      // lane-identical to scalar ones, so the tally is independent of the
-      // session's batch width -- mixed widths across workers are fine.
+      // Hand the session preferred_batch()-sample blocks of this
+      // candidate's samples (rows are contiguous in the row-major sample
+      // matrix); results are per-sample pure, so the tally is independent
+      // of the block width.
       const std::size_t width =
           std::max<std::size_t>(1, session->preferred_batch());
       long long passes = 0;

@@ -15,15 +15,11 @@
 // Session-cache contract (relied on by mc::EvalScheduler):
 //   - open() must be thread-safe: the scheduler opens sessions for the same
 //     problem concurrently from several workers.
-//   - evaluate(xi) / evaluate_batch(xis) must be pure functions of (x, xi):
-//     internal state may only affect cost (warm starts, search seeds),
-//     never results.  The scheduler is then free to evict a session
-//     mid-stream and reopen it later -- or to split one candidate's batch
-//     across many sessions, at any mix of batch widths -- without changing
-//     the yield tally.
-//   - evaluate_batch must produce, lane for lane, exactly the SampleResults
-//     that per-lane evaluate() calls in lane order would: batch width is a
-//     throughput knob, never an accuracy knob.
+//   - evaluate(xi) must be a pure function of (x, xi): internal state may
+//     only affect cost (warm starts, search seeds), never results.  The
+//     scheduler is then free to evict a session mid-stream and reopen it
+//     later -- or to split one candidate's samples across many sessions --
+//     without changing the yield tally.
 //   - Sessions may be destroyed at any time between evaluations (LRU
 //     eviction); construction must be self-contained and repeatable.
 //
@@ -70,21 +66,12 @@ class YieldProblem {
     virtual ~Session() = default;
     /// Evaluates one noise sample; an empty span means the nominal point.
     /// Each call counts as one "simulation" in the budget accounting.
-    ///
-    /// Legacy scalar path: the scheduler's hot loop goes through
-    /// evaluate_batch() and only reaches this directly when
-    /// preferred_batch() is 1.  Implementations that batch internally
-    /// still must keep evaluate() working (nominal screens, samplers and
-    /// odd-sized tails use it).
     virtual SampleResult evaluate(std::span<const double> xi) = 0;
-    /// Evaluates `lanes` noise samples at once: `xis` holds them
-    /// contiguously lane-major (sample l occupies
-    /// [l * noise_dim(), (l + 1) * noise_dim())) and `out` receives one
-    /// SampleResult per lane, identical to per-lane evaluate() calls in
-    /// lane order (see the purity contract above).  The default is exactly
-    /// that scalar loop, so existing problems work unchanged; problems
-    /// with batched kernels (the circuit problems' SoA solvers) override
-    /// it and advertise a width through preferred_batch().
+    /// Evaluates `lanes` noise samples stored contiguously lane-major
+    /// (sample l occupies [l * noise_dim(), (l + 1) * noise_dim())) into
+    /// `out`, one per-lane evaluate() call in lane order.  No problem in
+    /// this library overrides it; it stays virtual so wrapping sessions
+    /// (timing decorators) can forward it.
     virtual void evaluate_batch(std::span<const double> xis,
                                 std::size_t lanes,
                                 std::span<SampleResult> out) {
@@ -93,9 +80,8 @@ class YieldProblem {
         out[l] = evaluate(xis.subspan(l * dim, dim));
       }
     }
-    /// Batch width K the session's evaluate_batch is tuned for; the
-    /// scheduler hands workers K-lane blocks of one candidate's samples.
-    /// 1 (the default) means "scalar problem".
+    /// Lane count the scheduler hands evaluate_batch() per call; 1 (the
+    /// default) makes it call evaluate() per sample.
     virtual std::size_t preferred_batch() const { return 1; }
     /// Serializable warm-start snapshot of the session's construction-time
     /// state, consumed by open_warm() to revive an evicted session without

@@ -38,11 +38,6 @@ std::string build_json() {
   JsonObject build;
   build.add_string("version", version());
   build.add_string("compiler", compiler());
-#ifdef MOHECO_SIMD_BUILD
-  build.add_bool("simd_build", true);
-#else
-  build.add_bool("simd_build", false);
-#endif
   build.add_raw("simd_caps", simd.str());
   return build.str();
 }

@@ -2,9 +2,8 @@
 //
 // Cross-host bench JSON, cache directories, and daemon fleets all need
 // to attribute an artifact to a build.  build_json() is the one shared
-// identity object — version, compiler, the host's runtime
-// linalg::simd_caps(), and whether the binary was compiled
-// -march=native — embedded in `moheco_cli --version`, `op=ping`
+// identity object — version, compiler and the host's runtime
+// linalg::simd_caps() — embedded in `moheco_cli --version`, `op=ping`
 // responses, and every bench --json= header.
 #pragma once
 
@@ -18,11 +17,9 @@ const char* version();
 /// Compiler id and version this binary was built with (e.g. "gcc 12.2.0").
 std::string compiler();
 
-/// {"version":...,"compiler":...,"simd_build":bool,
+/// {"version":...,"compiler":...,
 ///  "simd_caps":{"avx2":...,"avx512f":...,"max_lane_width":...}}
-/// simd_build reports the MOHECO_SIMD compile flag; simd_caps is the
-/// *runtime* host probe (the two differ on a portable build running on a
-/// wide host).
+/// simd_caps is the runtime host probe.
 std::string build_json();
 
 }  // namespace moheco::obs

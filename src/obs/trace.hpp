@@ -15,8 +15,8 @@
 // is what keeps recording heap-free.
 //
 // The span hierarchy instrumented across the repo (see
-// docs/observability.md): optimize run -> generation -> phase flush ->
-// daemon job -> batched solver factor.
+// docs/observability.md): daemon job -> optimize run -> generation ->
+// phase flush -> transient run.
 #pragma once
 
 #include <cstddef>

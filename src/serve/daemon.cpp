@@ -402,15 +402,6 @@ void Daemon::handle_submit(const std::shared_ptr<Connection>& conn,
     conn->send(error_response("submit", kErrBadRequest, error, tag));
     return;
   }
-  // Daemon-wide batch-width default: only when the request did not choose
-  // its own (must happen before fingerprinting, so cache keys see the
-  // effective width).
-  if (options_.default_batch > 1) {
-    const JsonValue& opts = request["options"];
-    if (!opts.is_object() || opts["batch"].is_null()) {
-      spec.eval.batch = options_.default_batch;
-    }
-  }
   // Daemon-wide deadline default: an explicit per-job deadline_ms always
   // wins, including an explicit 0 (meaning "this job may run forever").
   if (options_.default_deadline_ms > 0) {

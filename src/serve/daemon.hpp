@@ -64,10 +64,6 @@ struct DaemonOptions {
   std::size_t queue_depth = 64;
   std::size_t result_cache_entries = 256;  ///< in-memory result LRU
   std::size_t warm_cache_entries = 64;     ///< in-memory warm-blob LRU
-  /// Evaluation batch width (EvalConfig::batch) applied to submitted jobs
-  /// whose request options do not set "batch" themselves; an explicit
-  /// per-job value always wins.  1 keeps the scalar per-sample path.
-  int default_batch = 1;
   /// ResultsCache backing path for cross-restart persistence of both
   /// caches; empty keeps them memory-only.
   std::string cache_path;

@@ -36,9 +36,6 @@ std::string deck_content_hash(const std::string& deck_text) {
 }
 
 std::string warm_fingerprint(const JobSpec& spec) {
-  // The batch width is deliberately NOT part of the warm key: blobs hold a
-  // session's nominal state, which is computed on the scalar path and is
-  // identical at every batch width, so runs at different K share blobs.
   std::ostringstream oss;
   oss << "warm1 transient=" << (spec.eval.transient ? 1 : 0)
       << " backend=" << static_cast<int>(spec.eval.backend);
@@ -55,7 +52,6 @@ std::string result_fingerprint(const JobSpec& spec, int workers) {
       << " mode=" << to_string(spec.mode) << " seed=" << m.seed
       << " sampling=" << stats::to_string(m.estimation.mc.sampling)
       << " workers=" << workers << ' ' << warm_fingerprint(spec)
-      << " batch=" << spec.eval.batch
       << " sized=" << (spec.want_sized_deck ? 1 : 0);
   // Fault-containment bits.  ckpt: checkpoint-mode scheduler normalization
   // changes the warm-path event counters in the JSON, so checkpointed and

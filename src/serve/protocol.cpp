@@ -41,7 +41,6 @@ std::string encode_submit(const JobSpec& spec, const std::string& tag) {
   options.add_int("estimate_samples", spec.estimate_samples);
   options.add_bool("transient", spec.eval.transient);
   options.add_string("backend", spice::to_string(spec.eval.backend));
-  options.add_int("batch", spec.eval.batch);
   options.add_bool("sized_deck", spec.want_sized_deck);
   // Only when set: keeps default submits byte-identical to older clients.
   if (spec.deadline_ms > 0) options.add_int("deadline_ms", spec.deadline_ms);
@@ -126,14 +125,6 @@ bool decode_submit(const JsonValue& request, JobSpec* spec, std::string* tag,
       if (!value.is_string() ||
           !parse_backend(value.as_string(), &spec->eval.backend)) {
         *error = "options.backend must be \"dense\", \"sparse\" or \"auto\"";
-        return false;
-      }
-    } else if (key == "batch") {
-      spec->eval.batch = static_cast<int>(value.as_int());
-      const std::string err =
-          circuits::EvalConfig::validate_batch(value.as_int(), "options.batch");
-      if (!err.empty()) {
-        *error = err;
         return false;
       }
     } else if (key == "sized_deck") {

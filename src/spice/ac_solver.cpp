@@ -34,7 +34,7 @@ void AcSolver::prepare(const OperatingPoint& op) {
   prepared_ = true;
 }
 
-void AcSolver::stamp(double omega, const std::vector<MosSmallSignal>& mos) {
+void AcSolver::stamp(double omega) {
   // The add/rhs_add sequence below must be identical for every omega: the
   // MnaSystem replays it against the slots captured on the first assembly.
   Stamper<Complex> stamper(sys_);
@@ -95,7 +95,7 @@ void AcSolver::stamp(double omega, const std::vector<MosSmallSignal>& mos) {
   // MOSFET small-signal conductances and capacitances at the op point.
   for (std::size_t i = 0; i < netlist_.mosfets().size(); ++i) {
     const auto& m = netlist_.mosfets()[i];
-    const MosSmallSignal& ss = mos[i];
+    const MosSmallSignal& ss = mos_[i];
     const int d = layout_.node_index(m.d);
     const int gn = layout_.node_index(m.g);
     const int s = layout_.node_index(m.s);
@@ -124,64 +124,12 @@ SolveStatus AcSolver::solve(double freq) {
   require(freq > 0.0, "AcSolver::solve: frequency must be > 0");
   require(prepared_, "AcSolver::solve: prepare() an operating point first");
   sys_.begin_assembly();
-  stamp(2.0 * M_PI * freq, mos_);
+  stamp(2.0 * M_PI * freq);
   sys_.end_assembly();
   solution_ = sys_.rhs();
   if (!sys_.factor()) return SolveStatus::kSingular;
   sys_.solve(solution_);
   return SolveStatus::kOk;
-}
-
-void AcSolver::begin_batch(std::size_t lanes) {
-  require(lanes > 0, "AcSolver::begin_batch: need at least one lane");
-  sys_.begin_batch(lanes);
-  mos_batch_.assign(lanes,
-                    std::vector<MosSmallSignal>(netlist_.mosfets().size()));
-  batch_solution_.assign(layout_.size() * lanes, Complex{});
-}
-
-void AcSolver::prepare_lane(std::size_t lane, const OperatingPoint& op) {
-  require(lane < sys_.batch_lanes(),
-          "AcSolver::prepare_lane: lane out of range (begin_batch first)");
-  require(op.mosfets.size() == netlist_.mosfets().size(),
-          "AcSolver: operating point does not match netlist");
-  std::vector<MosSmallSignal>& mos = mos_batch_[lane];
-  for (std::size_t i = 0; i < mos.size(); ++i) {
-    const MosOp& rec = op.mosfets[i];
-    mos[i].gm = rec.eval.gm;
-    mos[i].gds = rec.eval.gds;
-    mos[i].gmb = rec.eval.gmb;
-    mos[i].caps = rec.caps;
-  }
-}
-
-bool AcSolver::solve_batch(std::span<const double> freq,
-                           std::span<const char> active) {
-  const std::size_t lanes = sys_.batch_lanes();
-  require(lanes > 0, "AcSolver::solve_batch: no open batch");
-  require(freq.size() == lanes && active.size() == lanes,
-          "AcSolver::solve_batch: freq/active spans must cover every lane");
-  for (std::size_t l = 0; l < lanes; ++l) {
-    if (active[l] == 0) continue;
-    require(freq[l] > 0.0, "AcSolver::solve_batch: frequency must be > 0");
-    sys_.begin_lane(l);
-    stamp(2.0 * M_PI * freq[l], mos_batch_[l]);
-    sys_.end_lane();
-  }
-  if (!sys_.factor_batch()) return false;
-  batch_solution_ = sys_.batch_rhs();
-  sys_.solve_batch(batch_solution_);
-  return true;
-}
-
-Complex AcSolver::voltage(std::size_t lane, NodeId n) const {
-  if (n == 0) return {0.0, 0.0};
-  return batch_solution_[static_cast<std::size_t>(n - 1) * sys_.batch_lanes() +
-                         lane];
-}
-
-Complex AcSolver::differential(std::size_t lane, NodeId np, NodeId nn) const {
-  return voltage(lane, np) - voltage(lane, nn);
 }
 
 Complex AcSolver::voltage(NodeId n) const {

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/spice/mna.hpp"
@@ -81,37 +80,10 @@ class DcSolver {
   SolveStatus solve(const DcOptions& options,
                     std::vector<double>* warm_start = nullptr);
 
-  /// Batched warm-path solve: lockstep damped Newton over `lanes` variants
-  /// of the bound netlist (one Monte-Carlo batch of model-card
-  /// perturbations), all seeded from `warm` and assembled/factored K lanes
-  /// at a time through the MnaSystem's SoA batch mode.  `activate_lane(l)`
-  /// is invoked before stamping or extracting lane l and must install that
-  /// lane's model cards on the netlist.  A lane that converges freezes (its
-  /// values stay in the batch, its state stops moving), so every lane's
-  /// iterate sequence is bit-identical to a scalar solve() that stays on
-  /// the warm Newton path.
-  ///
-  /// Returns true only when EVERY lane converged on that warm path with
-  /// pure numeric refactorizations; `ops` then holds the per-lane operating
-  /// points, identical to scalar solve() results.  Returns false -- leaving
-  /// no observable solver state -- when batching is unavailable (dense
-  /// backend, no captured analysis) or any lane needs the fallback ladder
-  /// (pivot breakdown, non-convergence, non-finite iterate): the caller
-  /// must then evaluate the lanes sequentially through solve(), which
-  /// reproduces the scalar path's evaluation-order semantics exactly
-  /// (including any re-pivoting a breakdown lane triggers for later lanes).
-  bool solve_batch(const DcOptions& options, std::size_t lanes,
-                   const std::function<void(std::size_t)>& activate_lane,
-                   const std::vector<double>& warm,
-                   std::vector<OperatingPoint>* ops);
-
   const OperatingPoint& op() const { return op_; }
   const MnaLayout& layout() const { return layout_; }
   /// Resolved linear-solve backend (never kAuto).
   SolverBackend backend() const { return sys_.backend(); }
-  /// True when solve_batch() can run: sparse backend with a pattern and
-  /// symbolic analysis captured by a prior scalar solve().
-  bool batch_ready() const { return sys_.batch_ready(); }
 
   /// Structural fingerprint of the assembled system (unknown layout, device
   /// counts, resolved backend).  A serialized warm-start solution is only

@@ -103,29 +103,12 @@ class MnaSystem {
   void add(int r, int c, Scalar v) {
     if (sparse_ && pattern_ready_) [[likely]] {
       if (cursor_ >= slots_.size()) [[unlikely]] replay_overflow();
-      const std::uint32_t slot = slots_[cursor_++];
-      // Batched lanes accumulate into the compact per-lane staging buffer
-      // (same memory behavior as the scalar replay: ~8 slots per cache
-      // line); factor_batch() hands the lane-major buffers straight to the
-      // batched LU's gathering kernels.  Stamping into a slot-major
-      // `[slot * K + lane]` array would touch a separate cache line per
-      // add().
-      if (batch_lanes_ > 0) {
-        lane_scratch_[lane_base_ + slot] += v;
-      } else {
-        sparse_a_.value(slot) += v;
-      }
+      sparse_a_.value(slots_[cursor_++]) += v;
       return;
     }
     add_cold(r, c, v);
   }
-  void rhs_add(int r, Scalar v) {
-    if (batch_lanes_ > 0) {
-      lane_rhs_scratch_[static_cast<std::size_t>(r)] += v;
-    } else {
-      rhs_[static_cast<std::size_t>(r)] += v;
-    }
-  }
+  void rhs_add(int r, Scalar v) { rhs_[static_cast<std::size_t>(r)] += v; }
   void end_assembly();
 
   std::vector<Scalar>& rhs() { return rhs_; }
@@ -137,57 +120,6 @@ class MnaSystem {
   bool factor();
   /// Solves in place against the last successful factor().
   void solve(std::vector<Scalar>& b) const;
-
-  // --- Batched (SoA) assembly over the captured pattern -----------------
-  //
-  // K process samples of one symbolic pattern assemble and factor at once:
-  // every lane replays the identical stamp sequence straight into its lane
-  // of the slot-major SoA value array (`[slot * K + lane]`) -- the exact
-  // layout the SIMD kernels consume, so factor_batch() hands the assembly
-  // to linalg::SparseLuBatch with no transpose or copy in between.
-  // Per-lane accumulation order matches the scalar replay, so per-lane
-  // results are bit-identical to the scalar path.  Protocol, per batch:
-  //
-  //   sys.begin_batch(K);
-  //   for each (active) lane l {
-  //     sys.begin_lane(l);
-  //     ... stamp lane l (same add()/rhs_add() sequence as scalar) ...
-  //     sys.end_lane();
-  //   }
-  //   if (!sys.factor_batch()) { sys.end_batch(); /* scalar fallback */ }
-  //   x = sys.batch_rhs();
-  //   sys.solve_batch(x);
-  //   ... (more begin_lane rounds: lanes not restamped keep their values,
-  //        which stay factorable -- they already factored last round) ...
-  //   sys.end_batch();
-  //
-  // Only the sparse backend batches; callers check batch_ready() and fall
-  // back to a scalar per-lane loop otherwise (dense systems are tiny).
-
-  /// True when batched assembly is available: sparse backend, pattern
-  /// captured and a valid symbolic analysis from a prior scalar factor().
-  bool batch_ready() const {
-    return sparse_ && pattern_ready_ && sparse_lu_.analyzed();
-  }
-  /// Opens a K-lane batched assembly (zeroes all lanes).  Requires
-  /// batch_ready().  Scalar assemblies are rejected until end_batch().
-  void begin_batch(std::size_t lanes);
-  /// Starts lane `lane`'s replay of the stamp sequence (zeroes just that
-  /// lane's values and rhs); stamps arrive via the normal add()/rhs_add().
-  void begin_lane(std::size_t lane);
-  void end_lane();
-  /// Numeric refactorization of every lane with the recorded pivot order;
-  /// false when any lane breaks down (the batch is then unusable and the
-  /// caller must replay the lanes through the scalar path in order).
-  bool factor_batch();
-  /// Solves the SoA right-hand sides (`b[i * lanes + lane]`) in place
-  /// against the last successful factor_batch().
-  void solve_batch(std::vector<Scalar>& b) const;
-  /// SoA right-hand-side vector of the current batch (size() * lanes).
-  const std::vector<Scalar>& batch_rhs() const { return batch_rhs_; }
-  std::size_t batch_lanes() const { return batch_lanes_; }
-  /// Closes the batch and returns to scalar assembly mode.
-  void end_batch() { batch_lanes_ = 0; }
 
   /// Sparse-backend diagnostics (0 on the dense backend).
   long long full_factorizations() const {
@@ -222,23 +154,6 @@ class MnaSystem {
   std::size_t cursor_ = 0;
   linalg::SparseMatrix<Scalar> sparse_a_;
   linalg::SparseLuSolver<Scalar> sparse_lu_;
-
-  // Batched mode (0 lanes means scalar mode; the storage is kept across
-  // batches to avoid reallocation on the hot path).  Each lane assembles
-  // into its compact lane-major region of lane_scratch_
-  // (`[lane * nnz + slot]`, scalar-replay memory behavior) and
-  // factor_batch() passes the buffers to the batched LU's lane-gathering
-  // kernels unchanged, so frozen lanes (whose scratch regions were not
-  // restamped) keep their last factorable assembly.  batch_rhs_ is SoA
-  // (`[i * K + lane]`) throughout, matching solve_batch().
-  std::size_t batch_lanes_ = 0;
-  std::size_t batch_lane_ = 0;
-  std::size_t lane_base_ = 0;
-  std::vector<Scalar> batch_rhs_;
-  std::vector<Scalar> lane_scratch_;
-  std::vector<Scalar> lane_rhs_scratch_;
-  std::vector<char> batch_lane_fresh_;  ///< no begin_lane() since begin_batch
-  linalg::SparseLuBatch<Scalar> batch_lu_;
 };
 
 extern template class MnaSystem<double>;

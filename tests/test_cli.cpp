@@ -51,6 +51,8 @@ TEST(CliExitCodes, UsageErrorsExitTwoAndNameTheFlag) {
   // Unknown flag.
   EXPECT_EQ(run(cli_path() + " " + example_deck() + " --frobnicate", &out), 2);
   EXPECT_NE(out.find("--frobnicate"), std::string::npos) << out;
+  EXPECT_EQ(run(cli_path() + " " + example_deck() + " --batch=8", &out), 2);
+  EXPECT_NE(out.find("--batch=8"), std::string::npos) << out;
   // No deck and no control op: usage, not a crash.
   EXPECT_EQ(run(cli_path(), &out), 2);
   // Inconsistent serving flags: --op without --connect, --job without --op.
@@ -98,6 +100,8 @@ TEST(DaemonExitCodes, UsageErrorsExitTwo) {
   EXPECT_EQ(run(daemon_path() + " --bogus", &out), 2);
   EXPECT_NE(out.find("--bogus"), std::string::npos) << out;
   EXPECT_EQ(run(daemon_path() + " --queue-depth=0 --tcp=0", &out), 2);
+  EXPECT_EQ(run(daemon_path() + " --batch=8 --tcp=0", &out), 2);
+  EXPECT_NE(out.find("--batch=8"), std::string::npos) << out;
 }
 
 }  // namespace

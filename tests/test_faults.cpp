@@ -127,6 +127,7 @@ TEST(Failpoint, ProbZeroNeverFiresProbOneAlwaysFires) {
 TEST(Failpoint, RejectsBadSpecs) {
   FailGuard guard;
   EXPECT_THROW(fail::arm("bogus_site=prob:0.5"), InvalidArgument);
+  EXPECT_THROW(fail::arm("batch_refactor=prob:0.1"), InvalidArgument);
   EXPECT_THROW(fail::arm("newton=prob:1.5"), InvalidArgument);
   EXPECT_THROW(fail::arm("newton=prob:nope"), InvalidArgument);
   EXPECT_THROW(fail::arm("newton=hit:0"), InvalidArgument);
@@ -147,7 +148,8 @@ TEST(FailureLadder, SnapshotDeltaAttributesCounts) {
   EXPECT_EQ(delta.counts[static_cast<int>(fail::Ladder::kSparseToDense)], 2u);
   EXPECT_EQ(delta.counts[static_cast<int>(fail::Ladder::kSampleInfeasible)],
             1u);
-  EXPECT_EQ(delta.counts[static_cast<int>(fail::Ladder::kLaneDemotion)], 0u);
+  EXPECT_EQ(delta.counts[static_cast<int>(fail::Ladder::kWarmBlobRejected)],
+            0u);
   EXPECT_EQ(delta.total(), 3u);
   EXPECT_STREQ(fail::ladder_name(fail::Ladder::kSparseToDense),
                "sparse_to_dense");

@@ -8,6 +8,8 @@
 #include <atomic>
 #include <thread>
 
+#include "src/circuits/netlist_problem.hpp"
+#include "src/spice/deck_parser.hpp"
 #include "src/common/error.hpp"
 #include "src/common/parallel.hpp"
 #include "src/core/moheco.hpp"
@@ -885,6 +887,102 @@ TEST(ReferenceYield, SchedulerOverloadMatchesPoolOverload) {
   EXPECT_LE(scheduler.session_opens(),
             static_cast<long long>(pool.num_workers()));
   EXPECT_GT(scheduler.session_hits(), 0);
+}
+
+// --- Circuit problems through the scheduler --------------------------------
+
+/// Forwards to a circuit problem, but its sessions ask the scheduler for
+/// `width`-sample blocks, which routes them through evaluate_batch()'s
+/// default per-lane loop instead of one evaluate() per sample.
+class BlockedProblem final : public YieldProblem {
+ public:
+  BlockedProblem(const YieldProblem& inner, std::size_t width)
+      : inner_(&inner), width_(width) {}
+
+  std::size_t num_design_vars() const override {
+    return inner_->num_design_vars();
+  }
+  double lower_bound(std::size_t i) const override {
+    return inner_->lower_bound(i);
+  }
+  double upper_bound(std::size_t i) const override {
+    return inner_->upper_bound(i);
+  }
+  std::size_t noise_dim() const override { return inner_->noise_dim(); }
+  std::unique_ptr<Session> open(std::span<const double> x) const override {
+    return std::make_unique<BlockedSession>(inner_->open(x), width_);
+  }
+
+ private:
+  class BlockedSession final : public Session {
+   public:
+    BlockedSession(std::unique_ptr<Session> inner, std::size_t width)
+        : inner_(std::move(inner)), width_(width) {}
+    SampleResult evaluate(std::span<const double> xi) override {
+      return inner_->evaluate(xi);
+    }
+    std::size_t preferred_batch() const override { return width_; }
+
+   private:
+    std::unique_ptr<Session> inner_;
+    std::size_t width_;
+  };
+
+  const YieldProblem* inner_;
+  std::size_t width_;
+};
+
+std::vector<long long> circuit_tallies(const YieldProblem& problem,
+                                       const std::vector<double>& x,
+                                       int workers, std::uint64_t seed) {
+  ThreadPool pool(workers);
+  EvalScheduler scheduler(pool);
+  std::vector<std::unique_ptr<CandidateYield>> candidates;
+  for (int c = 0; c < 3; ++c) {
+    candidates.push_back(std::make_unique<CandidateYield>(
+        problem, x,
+        stats::derive_seed(seed, 0xBA7C, static_cast<std::uint64_t>(c))));
+  }
+  SimCounter sims;
+  for (int round = 0; round < 2; ++round) {
+    for (auto& c : candidates) scheduler.enqueue(*c, 18, McOptions{});
+    scheduler.flush(sims, SimPhase::kOcba);
+  }
+  std::vector<long long> tallies;
+  for (const auto& c : candidates) tallies.push_back(c->passes());
+  return tallies;
+}
+
+TEST(EvalScheduler, CircuitTalliesIndependentOfThreadsAndBlockWidth) {
+  // The amplifier sessions are pure functions of (x, xi) on both linear
+  // solve backends: worker count and the scheduler's per-call block width
+  // never change a tally.
+  for (spice::SolverBackend backend :
+       {spice::SolverBackend::kAuto, spice::SolverBackend::kSparse}) {
+    circuits::EvalOptions eval;
+    eval.backend = backend;
+    // The deck's nominal sizing sits mid-yield, so the tallies count both
+    // passing and failing samples.
+    const circuits::NetlistYieldProblem problem(
+        spice::parse_deck_file(std::string(MOHECO_SOURCE_DIR) +
+                               "/examples/five_t_ota.cir"),
+        eval);
+    const std::vector<double> x = problem.nominal_x();
+    const std::vector<long long> reference =
+        circuit_tallies(problem, x, /*workers=*/1, 0x5C4ED);
+    for (long long passes : reference) {
+      EXPECT_GT(passes, 0);
+      EXPECT_LT(passes, 36);
+    }
+    for (std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+      const BlockedProblem blocked(problem, width);
+      for (int workers : {1, 3}) {
+        EXPECT_EQ(circuit_tallies(blocked, x, workers, 0x5C4ED), reference)
+            << spice::to_string(backend) << " width=" << width
+            << " workers=" << workers;
+      }
+    }
+  }
 }
 
 // --- Pipelined generation overlap ------------------------------------------

@@ -233,6 +233,15 @@ TEST(Protocol, SubmitDecodeIsStrict) {
   ASSERT_TRUE(typo.has_value());
   decode_submit(*typo, &spec, &tag, &error);
   EXPECT_NE(error.find("poplation"), std::string::npos) << error;
+  // `batch` is not an option (one per-sample evaluation path); the codec
+  // never sends it and the decoder rejects it like any unknown key.
+  const std::optional<JsonValue> batch = parse_json(
+      "{\"op\":\"submit\",\"mode\":\"estimate\",\"deck\":\"x\","
+      "\"options\":{\"batch\":8}}");
+  ASSERT_TRUE(batch.has_value());
+  EXPECT_FALSE(decode_submit(*batch, &spec, &tag, &error));
+  EXPECT_EQ(error, "unknown option 'batch'");
+  EXPECT_EQ(encode_submit(JobSpec{}, "").find("batch"), std::string::npos);
   fails(
       "{\"op\":\"submit\",\"mode\":\"estimate\",\"deck\":\"x\","
       "\"options\":{\"sampling\":\"sobol\"}}");
