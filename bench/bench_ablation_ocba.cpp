@@ -6,6 +6,7 @@
 
 #include "bench/bench_support.hpp"
 #include "src/mc/candidate_yield.hpp"
+#include "src/mc/eval_scheduler.hpp"
 #include "src/mc/ocba.hpp"
 #include "src/mc/synthetic.hpp"
 #include "src/stats/rng.hpp"
@@ -19,6 +20,7 @@ int main(int argc, char** argv) {
       {0.74, 0.78, 0.55, 0.40, 0.82, 0.66, 0.71, 0.30, 0.50, 0.79});
   const auto arms = problem.yields().size();
   ThreadPool pool(options.threads);
+  EvalScheduler scheduler(pool);
   McOptions pmc;
   pmc.sampling = stats::SamplingMethod::kPMC;
   const int reps = options.scale == BenchScale::kFull ? 500 : 150;
@@ -39,7 +41,7 @@ int main(int argc, char** argv) {
         for (std::size_t i = 0; i < arms; ++i) {
           CandidateYield c(problem, {static_cast<double>(i)},
                            stats::derive_seed(options.seed, rep, i));
-          c.refine(budget_per_arm, pool, sims, pmc);
+          scheduler.refine(c, budget_per_arm, sims, pmc);
           if (c.mean() > best_mean) {
             best_mean = c.mean();
             best = i;

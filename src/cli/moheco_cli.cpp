@@ -91,7 +91,7 @@ void print_usage() {
                "optimizer options (mirroring core::MohecoOptions):\n"
                "  --population=N --max-generations=N --stop-stagnation=N\n"
                "  --seed=S --threads=N --sampling=lhs|pmc\n"
-               "  --no-ocba [--fixed-budget=N] --no-memetic --no-overlap\n"
+               "  --no-ocba [--fixed-budget=N] --no-memetic\n"
                "\n"
                "evaluation:\n"
                "  --transient           step-bench transient per sample (deck needs\n"
@@ -229,8 +229,6 @@ CliOptions parse_cli(int argc, char** argv) {
       cli.moheco.use_ocba = false;
     } else if (arg == "--no-memetic") {
       cli.moheco.use_memetic = false;
-    } else if (arg == "--no-overlap") {
-      cli.moheco.overlap_generations = false;
     } else if (key == "--sampling") {
       try {
         cli.moheco.estimation.mc.sampling = stats::parse_sampling_method(value);

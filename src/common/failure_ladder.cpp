@@ -1,7 +1,5 @@
 #include "src/common/failure_ladder.hpp"
 
-#include <array>
-#include <atomic>
 #include <string>
 
 #include "src/obs/metrics.hpp"
@@ -9,16 +7,21 @@
 namespace moheco::fail {
 namespace {
 
-std::array<std::atomic<std::uint64_t>, kNumLadderStages>& counters() {
-  static std::array<std::atomic<std::uint64_t>, kNumLadderStages> c{};
-  return c;
-}
-
 constexpr const char* kStageNames[kNumLadderStages] = {
     "sparse_to_dense",
     "sample_infeasible",
     "warm_blob_rejected",
 };
+
+/// The registry's "fail.<rung>" counters: the ladder's only store.
+obs::Counter& rung(int stage) {
+  static obs::Counter* rungs[kNumLadderStages] = {
+      &obs::registry().counter(std::string("fail.") + kStageNames[0]),
+      &obs::registry().counter(std::string("fail.") + kStageNames[1]),
+      &obs::registry().counter(std::string("fail.") + kStageNames[2]),
+  };
+  return *rungs[stage];
+}
 
 }  // namespace
 
@@ -26,27 +29,11 @@ const char* ladder_name(Ladder stage) {
   return kStageNames[static_cast<int>(stage)];
 }
 
-void ladder_count(Ladder stage) {
-  counters()[static_cast<int>(stage)].fetch_add(1, std::memory_order_relaxed);
-  // Mirror each rung into the metrics registry ("fail.<rung>"); the local
-  // array above stays authoritative for ladder_snapshot()/ladder_delta().
-  static obs::Counter* rungs[kNumLadderStages] = {
-      &obs::registry().counter(std::string("fail.") + kStageNames[0]),
-      &obs::registry().counter(std::string("fail.") + kStageNames[1]),
-      &obs::registry().counter(std::string("fail.") + kStageNames[2]),
-  };
-  rungs[static_cast<int>(stage)]->add(1);
-}
-
-std::uint64_t ladder_total(Ladder stage) {
-  return counters()[static_cast<int>(stage)].load(std::memory_order_relaxed);
-}
+void ladder_count(Ladder stage) { rung(static_cast<int>(stage)).add(1); }
 
 LadderSnapshot ladder_snapshot() {
   LadderSnapshot snap;
-  for (int i = 0; i < kNumLadderStages; ++i) {
-    snap.counts[i] = counters()[i].load(std::memory_order_relaxed);
-  }
+  for (int i = 0; i < kNumLadderStages; ++i) snap.counts[i] = rung(i).value();
   return snap;
 }
 

@@ -3,8 +3,9 @@
 // Every graceful-degradation step in the stack (sparse LU falling back to
 // dense, a sample marked infeasible after solver failure, a warm-start blob
 // rejected as corrupt) counts its use here, so one run-level report can say
-// how often each rung was hit.  Counters are process-global because the
-// solver layers have no channel to a per-run SimCounter; callers snapshot
+// how often each rung was hit.  The counts live in the metrics registry as
+// the monotonic "fail.<rung>" counters (process-global because the solver
+// layers have no channel to a per-run SimCounter); callers snapshot
 // before/after a run and report the delta.
 #pragma once
 
@@ -28,9 +29,6 @@ const char* ladder_name(Ladder stage);
 
 /// Records one use of a degradation stage.
 void ladder_count(Ladder stage);
-
-/// Process-lifetime total for a stage.
-std::uint64_t ladder_total(Ladder stage);
 
 /// Point-in-time copy of every stage counter; subtract two snapshots to
 /// attribute ladder activity to one run.

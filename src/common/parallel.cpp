@@ -174,11 +174,4 @@ void ThreadPool::parallel_for_sharded(
   impl_->dispatch_and_wait();
 }
 
-void ThreadPool::run_tasks(std::span<const std::function<void(int)>> tasks) {
-  if (tasks.empty()) return;
-  parallel_for(
-      tasks.size(), [&tasks](int worker, std::size_t i) { tasks[i](worker); },
-      /*grain=*/1);
-}
-
 }  // namespace moheco

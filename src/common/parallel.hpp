@@ -1,6 +1,6 @@
 // Worker pool for Monte-Carlo batch evaluation.
 //
-// Three entry points share one set of persistent workers:
+// Two entry points share one set of persistent workers:
 //   - parallel_for(count, fn): a homogeneous index range.  Workers claim
 //     contiguous chunks of indices from an atomic counter (not one index at
 //     a time), so cheap per-item work does not serialize on the counter.
@@ -10,9 +10,6 @@
 //     EvalScheduler's sticky candidate->worker affinity: items routed to a
 //     worker's own queue run on that worker unless load imbalance forces a
 //     steal.
-//   - run_tasks(tasks): a heterogeneous job set (e.g. one generation's
-//     evaluation batches across many candidates), claimed one task at a
-//     time in submission order.
 //
 // Each worker passes its stable worker id to the callback so callers can
 // keep per-worker state (e.g. the EvalScheduler's per-worker session
@@ -56,12 +53,6 @@ class ThreadPool {
   /// Exceptions thrown by fn are rethrown (first one wins).
   void parallel_for_sharded(std::span<const std::vector<std::size_t>> queues,
                             const std::function<void(int, std::size_t)>& fn);
-
-  /// Task-submission API: runs every task(worker_id) exactly once; blocks
-  /// until all tasks finish.  Tasks are claimed one at a time in submission
-  /// order, so expensive tasks placed first overlap the cheap tail.
-  /// Exceptions thrown by tasks are rethrown (first one wins).
-  void run_tasks(std::span<const std::function<void(int)>> tasks);
 
  private:
   struct Impl;

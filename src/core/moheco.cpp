@@ -77,17 +77,11 @@ std::vector<MohecoOptimizer::Evaluated> MohecoOptimizer::evaluate_batch(
         stats::derive_seed(options_.seed, 0x5EED, ++stream_counter_)));
   }
 
-  // Generation overlap: the previous generation's stage-2 promotion batches
-  // may still be pending on the scheduler.  With overlap on they are
-  // evaluated together with this generation's nominal screens as one job
-  // set; with overlap off they drain in their own flush first.  Either way
-  // they land in the tallies before this generation's OCBA pool reads them,
-  // so the tallies are bit-identical across the two modes.
-  if (!options_.overlap_generations) scheduler_->flush(sims_);
-
   // Acceptance-sampling screen: nominal feasibility of the whole generation
   // as one batched job set on the scheduler (sessions opened here stay
-  // cached for the estimation below).
+  // cached for the estimation below).  The previous generation's deferred
+  // stage-2 promotion batches, if any, run in the same job set and land in
+  // the tallies before this generation's OCBA pool reads them.
   std::vector<mc::CandidateYield*> screen_batch;
   screen_batch.reserve(count);
   for (auto& c : candidates) screen_batch.push_back(c.get());
@@ -115,7 +109,7 @@ std::vector<MohecoOptimizer::Evaluated> MohecoOptimizer::evaluate_batch(
       if (m.tally && !m.tally->failed()) ocba_pool.push_back(m.tally.get());
     }
     // Stage-2 batches stay pending (streams already consumed) and run
-    // merged with the next generation's screens -- see overlap_generations.
+    // merged with the next generation's screens.
     mc::two_stage_estimate(ocba_pool, options_.estimation, *scheduler_, sims_,
                            /*flush_stage2=*/false);
     // A candidate with a pending stage-2 batch can lose the upcoming Deb
@@ -388,10 +382,9 @@ MohecoResult MohecoOptimizer::run_impl(int max_generations) {
 
     // A best member at 100% may have its stage-2 promotion still pending
     // (deferred into the next generation's job set); drain it now -- flush
-    // boundaries never change tallies, and this runs identically with the
-    // overlap on or off -- so a run that genuinely reached full yield at
-    // n_report stops here instead of paying one more generation of screens
-    // and pilots before noticing.
+    // boundaries never change tallies -- so a run that genuinely reached
+    // full yield at n_report stops here instead of paying one more
+    // generation of screens and pilots before noticing.
     {
       const Member& maybe = population_[best_index()];
       if (maybe.fitness.feasible && maybe.fitness.yield >= 1.0 &&
@@ -470,7 +463,7 @@ void MohecoOptimizer::write_checkpoint(int generation, bool done,
   // Land the deferred stage-2 batches first: a checkpoint must capture
   // tallies, not in-flight jobs (stream positions are already consumed, so
   // dropping pending work would lose samples forever).  Flush boundaries
-  // never change tallies -- see overlap_generations.
+  // never change tallies (src/mc/eval_scheduler.hpp).
   scheduler_->flush(sims_);
   refresh_population_fitness();
 

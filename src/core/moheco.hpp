@@ -23,8 +23,10 @@
 // stage-1 tallies) but evaluated together with generation g+1's nominal
 // screens as one overlapping job set on the EvalScheduler, whose sticky
 // candidate->worker affinity and warm-start blob store keep hot candidates'
-// evaluator sessions warm across rounds and generations.  See
-// MohecoOptions::overlap_generations and src/mc/eval_scheduler.hpp.
+// evaluator sessions warm across rounds and generations.  Stage-2 samples
+// land in the tallies before generation g+1's OCBA pool reads them and the
+// sample streams are fixed at enqueue time, so the overlap never changes a
+// tally.  See src/mc/eval_scheduler.hpp.
 #pragma once
 
 #include <cstdint>
@@ -61,19 +63,10 @@ struct MohecoOptions {
   int max_generations = 200;
   int threads = 0;                ///< MC worker threads; 0 = hardware
   /// Generation-wide evaluation scheduler knobs (per-worker session-cache
-  /// capacity, chunk size, sticky affinity, warm-start blob store).  The
-  /// optimizer owns one EvalScheduler for its whole run, so session caches
-  /// persist across generations.
+  /// capacity, chunk size, warm-start blob store).  The optimizer owns one
+  /// EvalScheduler for its whole run, so session caches persist across
+  /// generations.
   mc::SchedulerOptions scheduler;
-  /// Pipelined generation overlap: the stage-2 promotion batches of
-  /// generation g are enqueued (streams consumed, promotion decided from
-  /// stage-1 tallies) but evaluated together with the nominal screens of
-  /// generation g+1 as ONE job set, instead of in their own pool barrier.
-  /// Stage-2 samples land in the tallies before generation g+1's OCBA pool
-  /// reads them, and the sample streams are identical either way, so yield
-  /// tallies are bit-identical with the overlap on or off (the off setting
-  /// drains the deferred batches in a separate flush at the same point).
-  bool overlap_generations = true;
   std::uint64_t seed = 1;
   /// Crash-safe checkpointing: when non-empty, the optimizer writes its
   /// full generation-granular state (population, tallies, RNG streams,

@@ -394,27 +394,9 @@ void EvalScheduler::flush(SimCounter& sims, SimPhase phase) {
         return;
       }
       const std::size_t dim = job.tally->problem().noise_dim();
-      // Hand the session preferred_batch()-sample blocks of this
-      // candidate's samples (rows are contiguous in the row-major sample
-      // matrix); results are per-sample pure, so the tally is independent
-      // of the block width.
-      const std::size_t width =
-          std::max<std::size_t>(1, session->preferred_batch());
       long long passes = 0;
-      std::vector<SampleResult> results;
-      for (std::size_t i = task.begin; i < task.end;) {
-        const std::size_t lanes = std::min(width, task.end - i);
-        if (lanes == 1) {
-          if (session->evaluate({job.samples.row(i), dim}).pass) ++passes;
-        } else {
-          results.resize(lanes);
-          session->evaluate_batch({job.samples.row(i), lanes * dim}, lanes,
-                                  results);
-          for (const SampleResult& r : results) {
-            if (r.pass) ++passes;
-          }
-        }
-        i += lanes;
+      for (std::size_t i = task.begin; i < task.end; ++i) {
+        if (session->evaluate({job.samples.row(i), dim}).pass) ++passes;
       }
       task_passes[t] = passes;
     } catch (...) {
@@ -431,17 +413,13 @@ void EvalScheduler::flush(SimCounter& sims, SimPhase phase) {
   const long long cold_before = cold_opens_.load(std::memory_order_relaxed);
   const long long warm_before = warm_opens_.load(std::memory_order_relaxed);
   try {
-    if (options_.sticky && pool_->num_workers() > 1) {
-      std::vector<std::vector<std::size_t>> queues(
-          static_cast<std::size_t>(pool_->num_workers()));
-      for (std::size_t t = 0; t < tasks.size(); ++t) {
-        queues[static_cast<std::size_t>(pending_[tasks[t].job].preferred)]
-            .push_back(t);
-      }
-      pool_->parallel_for_sharded(queues, evaluate_task);
-    } else {
-      pool_->parallel_for(tasks.size(), evaluate_task, /*grain=*/1);
+    std::vector<std::vector<std::size_t>> queues(
+        static_cast<std::size_t>(pool_->num_workers()));
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+      queues[static_cast<std::size_t>(pending_[tasks[t].job].preferred)]
+          .push_back(t);
     }
+    pool_->parallel_for_sharded(queues, evaluate_task);
   } catch (...) {
     // Pool-infrastructure failure (evaluation errors are contained per job
     // above): drop the whole job set untallied, keep the scheduler usable.

@@ -1,12 +1,11 @@
 // Generation-wide Monte-Carlo evaluation scheduler.
 //
-// The two-stage estimator used to call CandidateYield::refine() candidate
-// by candidate: every OCBA delta-increment was a pool-wide barrier over a
-// tiny batch (workers idle while one candidate's handful of samples
-// drained), and every candidate pinned one evaluator session per worker
-// for its whole lifetime (S x W sized netlists and factorizations live at
-// once).  The EvalScheduler fixes both, and keeps the evaluation pipeline
-// warm end-to-end:
+// Every Monte-Carlo simulation of a run goes through one EvalScheduler,
+// under one scheduling policy.  Refining candidates one by one would make
+// every OCBA delta-increment a pool-wide barrier over a tiny batch, and
+// pinning one evaluator session per candidate per worker would keep S x W
+// sized netlists and factorizations alive at once.  The scheduler avoids
+// both and keeps the evaluation pipeline warm end-to-end:
 //
 //   - Batching: callers enqueue() all candidates' sample ranges for a round
 //     and flush() once.  The whole round becomes one chunked job set drained
@@ -33,13 +32,13 @@
 //
 // Determinism: enqueue() consumes the candidate's sample stream immediately
 // (batch index and size are fixed at enqueue time), every sample of a batch
-// is evaluated exactly once, and pass counts are integers summed in job
-// order -- so yield tallies are bit-identical across worker counts, chunk
-// sizes, cache capacities, affinity on/off, warm starts on/off, and the
-// sessions' preferred_batch() block widths, and identical to the
-// per-candidate refine() path for the same round structure.  This relies
-// on the YieldProblem session-cache contract (see
-// src/mc/yield_problem.hpp): sample results are pure functions of (x, xi).
+// is evaluated exactly once by one Session::evaluate() call, and pass
+// counts are integers summed in job order -- so yield tallies are
+// bit-identical across worker counts, chunk sizes, cache capacities, warm
+// starts on/off, and flush boundaries (one flush per round or several
+// rounds merged into one job set).  This relies on the YieldProblem
+// session-cache contract (see src/mc/yield_problem.hpp): sample results are
+// pure functions of (x, xi).
 #pragma once
 
 #include <atomic>
@@ -71,10 +70,6 @@ struct SchedulerOptions {
   /// chunks per worker per flush, capped at 64) so a single large stage-2
   /// batch still spreads across the whole pool.
   std::size_t chunk = 0;
-  /// Sticky candidate->worker affinity: route each candidate's chunks to
-  /// its preferred worker's queue (with stealing) instead of letting any
-  /// worker claim any chunk.  Off replays the PR 3 contiguous claiming.
-  bool sticky = true;
   /// Capacity of the warm-start blob store (evicted sessions' serialized
   /// state, keyed by design-vector hash).  0 disables warm starts.
   int warm_start_blobs = 256;
@@ -143,8 +138,9 @@ class EvalScheduler {
   /// set (the generation-overlap fast path).
   void screen(std::span<CandidateYield* const> candidates, SimCounter& sims);
 
-  /// enqueue() + flush() for a single candidate: the per-candidate legacy
-  /// shape, kept for callers outside generation-wide rounds.
+  /// enqueue() + flush() for a single candidate, for callers outside
+  /// generation-wide rounds (the optimizer's final accurate estimate, the
+  /// fixed-allocation ablation arm).
   void refine(CandidateYield& tally, long long count, SimCounter& sims,
               const McOptions& options, SimPhase phase = SimPhase::kOther);
 

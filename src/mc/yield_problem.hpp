@@ -69,9 +69,10 @@ class YieldProblem {
     virtual SampleResult evaluate(std::span<const double> xi) = 0;
     /// Evaluates `lanes` noise samples stored contiguously lane-major
     /// (sample l occupies [l * noise_dim(), (l + 1) * noise_dim())) into
-    /// `out`, one per-lane evaluate() call in lane order.  No problem in
-    /// this library overrides it; it stays virtual so wrapping sessions
-    /// (timing decorators) can forward it.
+    /// `out`, one per-lane evaluate() call in lane order.  Nothing in the
+    /// library calls this pair or preferred_batch(): the EvalScheduler
+    /// evaluates one sample per evaluate() call.  Both stay virtual only
+    /// because perfbench/'s TimedSession still overrides them.
     virtual void evaluate_batch(std::span<const double> xis,
                                 std::size_t lanes,
                                 std::span<SampleResult> out) {
@@ -80,8 +81,7 @@ class YieldProblem {
         out[l] = evaluate(xis.subspan(l * dim, dim));
       }
     }
-    /// Lane count the scheduler hands evaluate_batch() per call; 1 (the
-    /// default) makes it call evaluate() per sample.
+    /// Preferred evaluate_batch() lane count (see above; unused).
     virtual std::size_t preferred_batch() const { return 1; }
     /// Serializable warm-start snapshot of the session's construction-time
     /// state, consumed by open_warm() to revive an evicted session without

@@ -54,7 +54,6 @@ class Counter {
     shards_[detail::shard_slot()].value.fetch_add(n, std::memory_order_relaxed);
   }
   std::uint64_t value() const;
-  void reset();
 
  private:
   detail::ShardCell shards_[kShards];
@@ -67,7 +66,6 @@ class Gauge {
   void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
   void add(std::int64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
   std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::int64_t> value_{0};
@@ -87,7 +85,6 @@ class Histogram {
   static int bucket_index(std::uint64_t v);
   /// Inclusive upper bound of bucket i (UINT64_MAX for the last bucket).
   static std::uint64_t bucket_upper_bound(int i);
-  void reset();
 
  private:
   friend class Registry;
@@ -128,9 +125,6 @@ class Registry {
   Histogram& histogram(const std::string& name);
 
   Snapshot snapshot() const;
-  /// Zeroes every registered instrument (tests and benches only;
-  /// registrations themselves are kept).
-  void reset();
 
  private:
   struct Impl;

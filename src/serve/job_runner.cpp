@@ -69,7 +69,6 @@ std::string result_fingerprint(const JobSpec& spec, int workers) {
         << " lsstag=" << m.local_search_stagnation
         << " nm=" << m.nm_max_iterations << " ocba=" << (m.use_ocba ? 1 : 0)
         << " budget=" << m.fixed_budget << " memetic=" << (m.use_memetic ? 1 : 0)
-        << " overlap=" << (m.overlap_generations ? 1 : 0)
         << " n0=" << m.estimation.n0 << " simavg=" << m.estimation.sim_avg
         << " delta=" << m.estimation.delta << " nmax=" << m.estimation.n_max
         << " s2=" << m.estimation.stage2_threshold << " f=" << m.de.f

@@ -37,7 +37,6 @@ std::string encode_submit(const JobSpec& spec, const std::string& tag) {
   options.add_bool("use_ocba", m.use_ocba);
   options.add_int("fixed_budget", m.fixed_budget);
   options.add_bool("use_memetic", m.use_memetic);
-  options.add_bool("overlap", m.overlap_generations);
   options.add_int("estimate_samples", spec.estimate_samples);
   options.add_bool("transient", spec.eval.transient);
   options.add_string("backend", spice::to_string(spec.eval.backend));
@@ -111,8 +110,6 @@ bool decode_submit(const JsonValue& request, JobSpec* spec, std::string* tag,
       m.fixed_budget = static_cast<int>(value.as_int());
     } else if (key == "use_memetic") {
       m.use_memetic = value.as_bool();
-    } else if (key == "overlap") {
-      m.overlap_generations = value.as_bool();
     } else if (key == "estimate_samples") {
       spec->estimate_samples = value.as_int();
       if (spec->estimate_samples <= 0) {

@@ -7,6 +7,7 @@
 #include "src/circuits/circuit_yield.hpp"
 #include "src/core/moheco.hpp"
 #include "src/mc/candidate_yield.hpp"
+#include "src/mc/eval_scheduler.hpp"
 #include "src/mc/ocba.hpp"
 #include "src/mc/synthetic.hpp"
 
@@ -120,7 +121,7 @@ TEST(Integration, CircuitCandidateYieldAgreesWithReference) {
   ThreadPool pool(8);
   mc::SimCounter sims;
   mc::CandidateYield tally(problem, x, 77);
-  tally.refine(4000, pool, sims, mc::McOptions{});
+  mc::EvalScheduler(pool).refine(tally, 4000, sims, mc::McOptions{});
   const double reference = mc::reference_yield(problem, x, 8000, 78, pool);
   EXPECT_NEAR(tally.mean(), reference, 0.03);
 }

@@ -5,6 +5,7 @@
 
 #include "src/common/parallel.hpp"
 #include "src/mc/candidate_yield.hpp"
+#include "src/mc/eval_scheduler.hpp"
 #include "src/mc/ocba.hpp"
 #include "src/mc/synthetic.hpp"
 #include "src/stats/rng.hpp"
@@ -54,9 +55,12 @@ TEST(Quadratic, NominalScreen) {
 TEST(CandidateYield, ScreenCountsOneSim) {
   const QuadraticYieldProblem problem(2, 4, 1.0, 0.3);
   CandidateYield c(problem, {0.1, 0.1}, 1);
+  ThreadPool pool(2);
+  EvalScheduler scheduler(pool);
   SimCounter sims;
-  c.screen_nominal(sims);
-  c.screen_nominal(sims);  // cached
+  CandidateYield* one[] = {&c};
+  scheduler.screen(one, sims);
+  scheduler.screen(one, sims);  // cached
   EXPECT_EQ(sims.total(), 1);
   EXPECT_TRUE(c.nominal_feasible());
 }
@@ -66,10 +70,11 @@ TEST(CandidateYield, RefineAccumulatesAndCounts) {
   ThreadPool pool(4);
   SimCounter sims;
   CandidateYield c(problem, {0.3, 0.3}, 7);
-  c.refine(100, pool, sims, McOptions{});
+  EvalScheduler scheduler(pool);
+  scheduler.refine(c, 100, sims, McOptions{});
   EXPECT_EQ(c.samples(), 100);
   EXPECT_EQ(sims.total(), 100);
-  c.refine(50, pool, sims, McOptions{});
+  scheduler.refine(c, 50, sims, McOptions{});
   EXPECT_EQ(c.samples(), 150);
   EXPECT_EQ(sims.total(), 150);
   EXPECT_GE(c.mean(), 0.0);
@@ -84,14 +89,14 @@ TEST(CandidateYield, DeterministicAcrossThreadCounts) {
     ThreadPool pool(1);
     SimCounter sims;
     CandidateYield c(problem, x, 99);
-    c.refine(500, pool, sims, McOptions{});
+    EvalScheduler(pool).refine(c, 500, sims, McOptions{});
     passes1 = c.passes();
   }
   {
     ThreadPool pool(4);
     SimCounter sims;
     CandidateYield c(problem, x, 99);
-    c.refine(500, pool, sims, McOptions{});
+    EvalScheduler(pool).refine(c, 500, sims, McOptions{});
     passes4 = c.passes();
   }
   EXPECT_EQ(passes1, passes4);
@@ -103,7 +108,7 @@ TEST(CandidateYield, EstimateConvergesToTruth) {
   ThreadPool pool(8);
   SimCounter sims;
   CandidateYield c(problem, x, 5);
-  c.refine(20000, pool, sims, McOptions{});
+  EvalScheduler(pool).refine(c, 20000, sims, McOptions{});
   EXPECT_NEAR(c.mean(), problem.true_yield(x), 0.015);
 }
 
@@ -112,7 +117,7 @@ TEST(CandidateYield, SmoothedVarianceNeverZero) {
   ThreadPool pool(2);
   SimCounter sims;
   CandidateYield c(problem, {0.0}, 3);
-  c.refine(200, pool, sims, McOptions{});
+  EvalScheduler(pool).refine(c, 200, sims, McOptions{});
   EXPECT_EQ(c.mean(), 1.0);  // arm with yield 1 always passes
   EXPECT_GT(c.smoothed_variance(), 0.0);
 }
@@ -177,9 +182,9 @@ TEST(TwoStage, SpendsApproxSimAvgTimesN) {
     const double r = 0.08 * i;
     owners.push_back(std::make_unique<CandidateYield>(
         problem, std::vector<double>{r, 0.0}, 100 + i));
-    owners.back()->screen_nominal(sims);
     cands.push_back(owners.back().get());
   }
+  EvalScheduler(pool).screen(cands, sims);
   const long long screen_cost = sims.total();
   TwoStageOptions options;
   options.n0 = 15;
@@ -203,9 +208,9 @@ TEST(TwoStage, PromotesHighYieldCandidates) {
   for (int i = 0; i < 4; ++i) {
     owners.push_back(std::make_unique<CandidateYield>(
         problem, std::vector<double>{static_cast<double>(i)}, 10 + i));
-    owners.back()->screen_nominal(sims);
     cands.push_back(owners.back().get());
   }
+  EvalScheduler(pool).screen(cands, sims);
   TwoStageOptions options;
   options.n0 = 15;
   options.sim_avg = 35;
@@ -264,7 +269,7 @@ TEST(TwoStage, OcbaBeatsEqualAllocationOnSelection) {
       for (int i = 0; i < 5; ++i) {
         CandidateYield c(problem, std::vector<double>{static_cast<double>(i)},
                          stats::derive_seed(999, rep, i));
-        c.refine(budget / 5, pool, sims, pmc);
+        EvalScheduler(pool).refine(c, budget / 5, sims, pmc);
         if (c.mean() > best_mean) {
           best_mean = c.mean();
           best = static_cast<std::size_t>(i);

@@ -1,7 +1,7 @@
 // Generation-wide EvalScheduler: scheduling determinism, equivalence with
-// the per-candidate refinement path, session-cache bounds, sticky affinity,
-// warm-start blob round-trips, pipelined generation overlap, and the
-// upgraded ThreadPool entry points.
+// per-candidate refinement, session-cache bounds, affinity accounting,
+// warm-start blob round-trips, the pipelined optimizer loop, and the
+// ThreadPool entry points.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,7 +22,7 @@
 namespace moheco::mc {
 namespace {
 
-// --- ThreadPool upgrades --------------------------------------------------
+// --- ThreadPool -----------------------------------------------------------
 
 TEST(Parallel, ChunkedClaimingRunsEveryIndexOnce) {
   ThreadPool pool(4);
@@ -33,33 +33,6 @@ TEST(Parallel, ChunkedClaimingRunsEveryIndexOnce) {
         1000, [&](int, std::size_t i) { ++hits[i]; }, grain);
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   }
-}
-
-TEST(Parallel, RunTasksRunsEveryTaskOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  std::vector<std::function<void(int)>> tasks;
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    tasks.push_back([&hits, i, &pool](int worker) {
-      EXPECT_GE(worker, 0);
-      EXPECT_LT(worker, pool.num_workers());
-      ++hits[i];
-    });
-  }
-  pool.run_tasks(tasks);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  pool.run_tasks({});  // empty set is a no-op
-}
-
-TEST(Parallel, RunTasksPropagatesExceptions) {
-  ThreadPool pool(2);
-  std::vector<std::function<void(int)>> tasks;
-  for (int i = 0; i < 10; ++i) {
-    tasks.push_back([i](int) {
-      if (i == 3) throw InvalidArgument("boom");
-    });
-  }
-  EXPECT_THROW(pool.run_tasks(tasks), InvalidArgument);
 }
 
 TEST(Parallel, ShardedRunsEveryItemOnce) {
@@ -340,10 +313,8 @@ TEST(EvalScheduler, TwoStageBitIdenticalAcrossThreadCounts) {
     SimCounter sims;
     auto owners = make_pool(problem, 10);
     std::vector<CandidateYield*> cands;
-    for (auto& c : owners) {
-      c->screen_nominal(sims);
-      cands.push_back(c.get());
-    }
+    for (auto& c : owners) cands.push_back(c.get());
+    scheduler.screen(cands, sims);
     promotions.push_back(
         two_stage_estimate(cands, options, scheduler, sims));
     snapshots.push_back(snapshot(owners));
@@ -355,10 +326,10 @@ TEST(EvalScheduler, TwoStageBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(EvalScheduler, TwoStageMatchesPerCandidatePath) {
-  // The batched scheduler must reproduce the pre-refactor per-candidate
-  // flow bit-for-bit: same seeds, same round structure, same tallies.  The
-  // reference below replays the old algorithm with one refine() (= one
-  // pool barrier) per candidate per round.
+  // The batched scheduler must reproduce a per-candidate flow bit-for-bit:
+  // same seeds, same round structure, same tallies.  The reference below
+  // replays the algorithm with one fresh single-candidate scheduler (= one
+  // pool barrier, cold sessions) per candidate per round.
   const QuadraticYieldProblem problem(2, 6, 1.0, 0.5);
   const TwoStageOptions options = determinism_options();
   ThreadPool pool(4);
@@ -370,21 +341,23 @@ TEST(EvalScheduler, TwoStageMatchesPerCandidatePath) {
     EvalScheduler scheduler(pool);
     SimCounter sims;
     std::vector<CandidateYield*> cands;
-    for (auto& c : batched_owners) {
-      c->screen_nominal(sims);
-      cands.push_back(c.get());
-    }
+    for (auto& c : batched_owners) cands.push_back(c.get());
+    scheduler.screen(cands, sims);
     batched_promoted = two_stage_estimate(cands, options, scheduler, sims);
   }
 
-  // --- per-candidate reference (the pre-refactor loop) ---
+  // --- per-candidate reference ---
   auto reference_owners = make_pool(problem, 10);
   std::vector<std::size_t> reference_promoted;
   {
     SimCounter sims;
+    const auto refine = [&](CandidateYield& c, long long count) {
+      EvalScheduler(pool).refine(c, count, sims, options.mc);
+    };
     std::vector<CandidateYield*> cands;
     for (auto& c : reference_owners) {
-      c->screen_nominal(sims);
+      CandidateYield* one[] = {c.get()};
+      EvalScheduler(pool).screen(one, sims);
       cands.push_back(c.get());
     }
     const std::size_t s = cands.size();
@@ -396,7 +369,7 @@ TEST(EvalScheduler, TwoStageMatchesPerCandidatePath) {
     }
     for (CandidateYield* c : cands) {
       if (c->samples() < options.n0) {
-        c->refine(options.n0 - c->samples(), pool, sims, options.mc);
+        refine(*c, options.n0 - c->samples());
       }
     }
     const long long total_budget =
@@ -422,7 +395,7 @@ TEST(EvalScheduler, TwoStageMatchesPerCandidatePath) {
                                     cands[i]->samples());
         extra = std::min(extra, allowance);
         if (extra > 0) {
-          cands[i]->refine(extra, pool, sims, options.mc);
+          refine(*cands[i], extra);
           added += extra;
           allowance -= extra;
         }
@@ -432,8 +405,7 @@ TEST(EvalScheduler, TwoStageMatchesPerCandidatePath) {
     for (std::size_t i = 0; i < s; ++i) {
       if (cands[i]->mean() > options.stage2_threshold &&
           cands[i]->samples() < options.n_max) {
-        cands[i]->refine(options.n_max - cands[i]->samples(), pool, sims,
-                         options.mc);
+        refine(*cands[i], options.n_max - cands[i]->samples());
         reference_promoted.push_back(i);
       } else if (cands[i]->samples() >= options.n_max) {
         reference_promoted.push_back(i);
@@ -467,7 +439,7 @@ TEST(EvalScheduler, ChunkSizeDoesNotAffectTallies) {
   }
 }
 
-// --- Sticky affinity ------------------------------------------------------
+// --- Affinity accounting --------------------------------------------------
 
 inline void keep(double& value) { asm volatile("" : "+m"(value)); }
 
@@ -517,17 +489,16 @@ class SpinCountProblem final : public YieldProblem {
   mutable std::atomic<long long> opens_{0};
 };
 
-TEST(EvalScheduler, StickyAffinityCutsSessionChurnAndKeepsTallies) {
-  const int kWorkers = 4;
+TEST(EvalScheduler, AffinityAccountingMatchesSchedBreakdown) {
   const int kCandidates = 16;
   const int kRounds = 10;
   const int kPerRound = 8;
-  auto run = [&](bool sticky) {
+  auto run = [&](int workers) {
     SpinCountProblem problem(/*open_spin=*/20000, /*eval_spin=*/300);
-    ThreadPool pool(kWorkers);
+    ThreadPool pool(workers);
     SchedulerOptions options;
-    options.sessions_per_worker = 4;  // = candidates per worker when sticky
-    options.sticky = sticky;
+    options.sessions_per_worker = 4;
+    options.chunk = 2;  // several tasks per candidate per flush
     options.warm_start_blobs = 0;
     EvalScheduler scheduler(pool, options);
     SimCounter sims;
@@ -554,26 +525,27 @@ TEST(EvalScheduler, StickyAffinityCutsSessionChurnAndKeepsTallies) {
                sims.sched_breakdown()};
   };
 
-  const auto sticky = run(true);
-  const auto contiguous = run(false);
-
-  // Tallies never depend on the claiming policy.
-  EXPECT_EQ(sticky.tallies, contiguous.tallies);
-  // Every chunk was either an affinity hit or a steal, and the flush's
-  // SimCounter saw the same events the scheduler counted.
-  EXPECT_GT(sticky.affinity_hits, 0);
-  EXPECT_EQ(sticky.affinity_hits, sticky.sched.affinity_hits);
-  EXPECT_EQ(sticky.steals, sticky.sched.steals);
-  EXPECT_EQ(sticky.migrations, sticky.sched.migrations);
-  EXPECT_EQ(sticky.opens,
-            sticky.sched.cold_opens + sticky.sched.warm_opens);
-  // Sticky claiming keeps each candidate's session on (essentially) one
-  // worker: with candidates/worker == cache capacity it stops the LRU
-  // thrash that contiguous claiming causes.  On a loaded or single-core
-  // host the OS serializes the workers and stealing makes both modes
-  // thrash alike, so the assertion only forbids sticky claiming from being
-  // systematically WORSE; bench_micro_warmpath gates the actual reduction.
-  EXPECT_LE(sticky.opens, contiguous.opens + kCandidates);
+  const long long tasks = 1LL * kCandidates * kRounds * (kPerRound / 2);
+  const auto serial = run(1);
+  const auto pooled = run(3);
+  for (const auto* out : {&serial, &pooled}) {
+    // Every task was either an affinity hit or a steal, and the flushes'
+    // SimCounter saw exactly the events the scheduler counted.
+    EXPECT_EQ(out->affinity_hits + out->steals, tasks);
+    EXPECT_EQ(out->affinity_hits, out->sched.affinity_hits);
+    EXPECT_EQ(out->steals, out->sched.steals);
+    EXPECT_EQ(out->migrations, out->sched.migrations);
+    EXPECT_EQ(out->opens, out->sched.cold_opens + out->sched.warm_opens);
+  }
+  // One worker owns the only queue: every task is a hit, nothing moves.
+  EXPECT_EQ(serial.affinity_hits, tasks);
+  EXPECT_EQ(serial.steals, 0);
+  EXPECT_EQ(serial.migrations, 0);
+  // 16 candidates cycle through a 4-session LRU: one cold open per
+  // candidate per round, its remaining tasks hit the open session.
+  EXPECT_EQ(serial.opens, 1LL * kCandidates * kRounds);
+  // Tallies never depend on the worker count.
+  EXPECT_EQ(pooled.tallies, serial.tallies);
 }
 
 // --- Warm-start blob round-trips ------------------------------------------
@@ -891,47 +863,6 @@ TEST(ReferenceYield, SchedulerOverloadMatchesPoolOverload) {
 
 // --- Circuit problems through the scheduler --------------------------------
 
-/// Forwards to a circuit problem, but its sessions ask the scheduler for
-/// `width`-sample blocks, which routes them through evaluate_batch()'s
-/// default per-lane loop instead of one evaluate() per sample.
-class BlockedProblem final : public YieldProblem {
- public:
-  BlockedProblem(const YieldProblem& inner, std::size_t width)
-      : inner_(&inner), width_(width) {}
-
-  std::size_t num_design_vars() const override {
-    return inner_->num_design_vars();
-  }
-  double lower_bound(std::size_t i) const override {
-    return inner_->lower_bound(i);
-  }
-  double upper_bound(std::size_t i) const override {
-    return inner_->upper_bound(i);
-  }
-  std::size_t noise_dim() const override { return inner_->noise_dim(); }
-  std::unique_ptr<Session> open(std::span<const double> x) const override {
-    return std::make_unique<BlockedSession>(inner_->open(x), width_);
-  }
-
- private:
-  class BlockedSession final : public Session {
-   public:
-    BlockedSession(std::unique_ptr<Session> inner, std::size_t width)
-        : inner_(std::move(inner)), width_(width) {}
-    SampleResult evaluate(std::span<const double> xi) override {
-      return inner_->evaluate(xi);
-    }
-    std::size_t preferred_batch() const override { return width_; }
-
-   private:
-    std::unique_ptr<Session> inner_;
-    std::size_t width_;
-  };
-
-  const YieldProblem* inner_;
-  std::size_t width_;
-};
-
 std::vector<long long> circuit_tallies(const YieldProblem& problem,
                                        const std::vector<double>& x,
                                        int workers, std::uint64_t seed) {
@@ -953,10 +884,9 @@ std::vector<long long> circuit_tallies(const YieldProblem& problem,
   return tallies;
 }
 
-TEST(EvalScheduler, CircuitTalliesIndependentOfThreadsAndBlockWidth) {
+TEST(EvalScheduler, CircuitTalliesIndependentOfThreads) {
   // The amplifier sessions are pure functions of (x, xi) on both linear
-  // solve backends: worker count and the scheduler's per-call block width
-  // never change a tally.
+  // solve backends: the worker count never changes a tally.
   for (spice::SolverBackend backend :
        {spice::SolverBackend::kAuto, spice::SolverBackend::kSparse}) {
     circuits::EvalOptions eval;
@@ -974,18 +904,14 @@ TEST(EvalScheduler, CircuitTalliesIndependentOfThreadsAndBlockWidth) {
       EXPECT_GT(passes, 0);
       EXPECT_LT(passes, 36);
     }
-    for (std::size_t width : {std::size_t{1}, std::size_t{4}}) {
-      const BlockedProblem blocked(problem, width);
-      for (int workers : {1, 3}) {
-        EXPECT_EQ(circuit_tallies(blocked, x, workers, 0x5C4ED), reference)
-            << spice::to_string(backend) << " width=" << width
-            << " workers=" << workers;
-      }
+    for (int workers : {2, 3}) {
+      EXPECT_EQ(circuit_tallies(problem, x, workers, 0x5C4ED), reference)
+          << spice::to_string(backend) << " workers=" << workers;
     }
   }
 }
 
-// --- Pipelined generation overlap ------------------------------------------
+// --- Pipelined optimizer loop ---------------------------------------------
 
 struct OptimizerFingerprint {
   std::vector<double> best_x;
@@ -996,15 +922,13 @@ struct OptimizerFingerprint {
   bool operator==(const OptimizerFingerprint&) const = default;
 };
 
-OptimizerFingerprint run_optimizer(bool overlap, int threads,
-                                   std::uint64_t seed) {
+OptimizerFingerprint run_optimizer(int threads, std::uint64_t seed) {
   const QuadraticYieldProblem problem(2, 4, 1.0, 0.4);
   core::MohecoOptions options;
   options.population = 10;
   options.estimation.n0 = 10;
   options.estimation.sim_avg = 20;
   options.estimation.n_max = 80;
-  options.overlap_generations = overlap;
   options.threads = threads;
   options.seed = seed;
   const core::MohecoResult result =
@@ -1020,21 +944,16 @@ OptimizerFingerprint run_optimizer(bool overlap, int threads,
   return fp;
 }
 
-TEST(MohecoPipeline, OverlapMatchesSerialPathAcrossThreadCounts) {
+TEST(MohecoPipeline, FingerprintIndependentOfThreadCount) {
   // The pipelined loop (stage-2 of generation g merged with the screens of
-  // g+1) must reproduce the serial per-generation flush path bit-for-bit:
-  // identical best vector, budget split, and per-generation sim trace, for
-  // every thread count.
-  const OptimizerFingerprint reference = run_optimizer(false, 1, 7);
+  // g+1) gives the identical best vector, budget split, and per-generation
+  // sim trace for every thread count.
+  const OptimizerFingerprint reference = run_optimizer(1, 7);
   EXPECT_GT(reference.stage2, 0);  // the workload must actually promote
   int hardware = static_cast<int>(std::thread::hardware_concurrency());
   if (hardware < 2) hardware = 2;
-  for (int threads : {1, 2, hardware}) {
-    for (bool overlap : {false, true}) {
-      const OptimizerFingerprint fp = run_optimizer(overlap, threads, 7);
-      EXPECT_EQ(fp, reference)
-          << "overlap=" << overlap << " threads=" << threads;
-    }
+  for (int threads : {2, hardware}) {
+    EXPECT_EQ(run_optimizer(threads, 7), reference) << "threads=" << threads;
   }
 }
 
@@ -1048,10 +967,8 @@ TEST(SimCounter, TwoStagePhaseBreakdown) {
   SimCounter sims;
   auto owners = make_pool(problem, 10);
   std::vector<CandidateYield*> cands;
-  for (auto& c : owners) {
-    c->screen_nominal(sims);
-    cands.push_back(c.get());
-  }
+  for (auto& c : owners) cands.push_back(c.get());
+  scheduler.screen(cands, sims);
   two_stage_estimate(cands, options, scheduler, sims);
 
   const SimBreakdown b = sims.breakdown();

@@ -171,7 +171,6 @@ TEST(Protocol, SubmitCodecRoundTrips) {
   spec.moheco.use_ocba = false;
   spec.moheco.fixed_budget = 77;
   spec.moheco.use_memetic = false;
-  spec.moheco.overlap_generations = false;
   spec.moheco.estimation.mc.sampling = stats::SamplingMethod::kPMC;
   spec.eval.transient = true;
   spec.want_sized_deck = true;
@@ -195,7 +194,6 @@ TEST(Protocol, SubmitCodecRoundTrips) {
   EXPECT_FALSE(decoded.moheco.use_ocba);
   EXPECT_EQ(decoded.moheco.fixed_budget, 77);
   EXPECT_FALSE(decoded.moheco.use_memetic);
-  EXPECT_FALSE(decoded.moheco.overlap_generations);
   EXPECT_EQ(decoded.moheco.estimation.mc.sampling,
             stats::SamplingMethod::kPMC);
   EXPECT_TRUE(decoded.eval.transient);
@@ -242,6 +240,14 @@ TEST(Protocol, SubmitDecodeIsStrict) {
   EXPECT_FALSE(decode_submit(*batch, &spec, &tag, &error));
   EXPECT_EQ(error, "unknown option 'batch'");
   EXPECT_EQ(encode_submit(JobSpec{}, "").find("batch"), std::string::npos);
+  // Likewise `overlap`: the optimizer always pipelines its generations.
+  const std::optional<JsonValue> overlap = parse_json(
+      "{\"op\":\"submit\",\"mode\":\"optimize\",\"deck\":\"x\","
+      "\"options\":{\"overlap\":false}}");
+  ASSERT_TRUE(overlap.has_value());
+  EXPECT_FALSE(decode_submit(*overlap, &spec, &tag, &error));
+  EXPECT_EQ(error, "unknown option 'overlap'");
+  EXPECT_EQ(encode_submit(JobSpec{}, "").find("overlap"), std::string::npos);
   fails(
       "{\"op\":\"submit\",\"mode\":\"estimate\",\"deck\":\"x\","
       "\"options\":{\"sampling\":\"sobol\"}}");
