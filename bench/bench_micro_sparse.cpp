@@ -1,14 +1,17 @@
-// Micro benchmark for the linear-solve backends: assemble + factor + solve
-// on generated RC-ladder and RC-grid MNA systems from n=10 to n=2000, dense
-// vs sparse, with the sparse numbers split into the one-off first
-// factorization (symbolic analysis + fully pivoted factor) and the
-// refactor+solve hot path every Newton iteration / MC sample actually pays.
+// Micro benchmark for the linear solvers on MNA systems: factor + solve on
+// generated RC-ladder and RC-grid systems from n=12 to n=2026, dense LU
+// (linalg::LuSolver) vs sparse LU (linalg::SparseLuSolver), with the sparse
+// numbers split into the one-off first factorization (symbolic analysis +
+// fully pivoted factor) and the refactor+solve hot path every Newton
+// iteration / MC sample actually pays.  Each system is stamped once into a
+// dense matrix; the sparse solver gets the same entries in CSC form.
 //
-// Doubles as a correctness gate: the two backends must agree to 1e-10
+// Doubles as a correctness gate: the two solvers must agree to 1e-10
 // (relative) on every scenario, and at n >= 500 the sparse hot path must
 // beat dense factor+solve by >= 5x; violations exit non-zero so CI fails.
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -17,6 +20,8 @@
 
 #include "bench/bench_support.hpp"
 #include "src/common/table.hpp"
+#include "src/linalg/lu.hpp"
+#include "src/linalg/sparse.hpp"
 #include "src/spice/dc_solver.hpp"
 #include "src/spice/mna.hpp"
 #include "src/spice/netlist_gen.hpp"
@@ -24,7 +29,6 @@
 namespace {
 
 using namespace moheco;
-using spice::SolverBackend;
 
 struct Scenario {
   std::string name;
@@ -32,9 +36,9 @@ struct Scenario {
   bool check_speedup = false;  ///< acceptance gate: sparse >= 5x dense
 };
 
-struct BackendResult {
-  double ns_per_solve = 0.0;       ///< steady-state assemble+factor+solve
-  double first_factor_ns = 0.0;    ///< includes symbolic analysis (sparse)
+struct SolverResult {
+  double ns_per_solve = 0.0;     ///< steady-state factor+solve
+  double first_factor_ns = 0.0;  ///< includes symbolic analysis (sparse)
   std::vector<double> solution;
 };
 
@@ -44,41 +48,51 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-BackendResult run_backend(const spice::Netlist& netlist,
-                          SolverBackend backend, double min_seconds) {
-  const spice::MnaLayout layout(netlist);
-  spice::MnaSystem<double> sys;
-  sys.reset(layout.size(), backend);
-  auto assemble_factor_solve = [&](std::vector<double>* out) {
-    sys.begin_assembly();
-    spice::Stamper<double> stamper(sys);
-    stamp_linear_static(netlist, layout, stamper, /*gmin=*/1e-12,
-                        /*source_scale=*/1.0, /*time=*/-1.0);
-    sys.end_assembly();
-    std::vector<double> x = sys.rhs();
-    if (!sys.factor()) {
-      std::fprintf(stderr, "factor failed (%s)\n", to_string(backend));
-      std::exit(1);
-    }
-    sys.solve(x);
-    if (out != nullptr) *out = std::move(x);
-  };
-
-  BackendResult result;
+/// Times `factor_solve(&x)` (x starts as the rhs) until `min_seconds` pass;
+/// the first call's time and solution are reported separately.
+template <typename FactorSolve>
+SolverResult time_solver(const std::vector<double>& rhs, double min_seconds,
+                         FactorSolve&& factor_solve) {
+  SolverResult result;
+  result.solution = rhs;
   const auto first_start = std::chrono::steady_clock::now();
-  assemble_factor_solve(&result.solution);
+  factor_solve(&result.solution);
   result.first_factor_ns = seconds_since(first_start) * 1e9;
 
+  std::vector<double> x;
   int iterations = 0;
   const auto start = std::chrono::steady_clock::now();
   double elapsed = 0.0;
   do {
-    assemble_factor_solve(nullptr);
+    x = rhs;
+    factor_solve(&x);
     ++iterations;
     elapsed = seconds_since(start);
   } while (elapsed < min_seconds && iterations < 200000);
   result.ns_per_solve = elapsed * 1e9 / iterations;
   return result;
+}
+
+/// The CSC form of `a`'s nonzero entries.
+linalg::SparseMatrix<double> to_sparse(const linalg::MatrixD& a) {
+  linalg::SparseBuilder builder(a.rows());
+  std::vector<double> values;
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    for (std::size_t c = 0; c < a.cols(); ++c) {
+      if (a(r, c) == 0.0) continue;
+      builder.add(static_cast<int>(r), static_cast<int>(c));
+      values.push_back(a(r, c));
+    }
+  }
+  std::vector<std::uint32_t> slots;
+  linalg::SparseMatrix<double> s = builder.finalize<double>(&slots);
+  for (std::size_t i = 0; i < values.size(); ++i) s.value(slots[i]) = values[i];
+  return s;
+}
+
+[[noreturn]] void singular(const std::string& scenario, const char* solver) {
+  std::fprintf(stderr, "%s factor failed on %s\n", solver, scenario.c_str());
+  std::exit(1);
 }
 
 std::string format_ns(double ns) {
@@ -91,7 +105,7 @@ std::string format_ns(double ns) {
 
 int main(int argc, char** argv) {
   const BenchOptions options = bench::bench_prologue(
-      argc, argv, "Micro: dense vs sparse MNA factor+solve scaling");
+      argc, argv, "Micro: dense vs sparse LU factor+solve on MNA systems");
   const double min_seconds = options.scale == BenchScale::kSmoke ? 0.02 : 0.2;
 
   std::vector<int> ladder_sizes = {10, 50, 100, 200, 500};
@@ -122,10 +136,27 @@ int main(int argc, char** argv) {
   std::string json_rows;
   for (const Scenario& s : scenarios) {
     const spice::MnaLayout layout(s.netlist);
-    const BackendResult dense =
-        run_backend(s.netlist, SolverBackend::kDense, min_seconds);
-    const BackendResult sparse =
-        run_backend(s.netlist, SolverBackend::kSparse, min_seconds);
+    linalg::MatrixD a(layout.size(), layout.size());
+    std::vector<double> rhs(layout.size(), 0.0);
+    spice::Stamper<double> stamper(a, rhs);
+    stamp_linear_static(s.netlist, layout, stamper, /*gmin=*/1e-12,
+                        /*source_scale=*/1.0, /*time=*/-1.0);
+    const linalg::SparseMatrix<double> a_sparse = to_sparse(a);
+
+    linalg::LuSolver<double> lu;
+    const SolverResult dense =
+        time_solver(rhs, min_seconds, [&](std::vector<double>* x) {
+          if (!lu.factor(a)) singular(s.name, "dense");
+          lu.solve(*x);
+        });
+    linalg::SparseLuSolver<double> sparse_lu;
+    const SolverResult sparse =
+        time_solver(rhs, min_seconds, [&](std::vector<double>* x) {
+          if (!sparse_lu.factor_with_reuse(a_sparse)) {
+            singular(s.name, "sparse");
+          }
+          sparse_lu.solve(*x);
+        });
 
     double max_delta = 0.0;
     for (std::size_t i = 0; i < dense.solution.size(); ++i) {
@@ -135,7 +166,7 @@ int main(int argc, char** argv) {
     }
     const double speedup = dense.ns_per_solve / sparse.ns_per_solve;
     if (max_delta > 1e-10) {
-      std::fprintf(stderr, "FAIL %s: backends disagree (max delta %.3g)\n",
+      std::fprintf(stderr, "FAIL %s: solvers disagree (max delta %.3g)\n",
                    s.name.c_str(), max_delta);
       ok = false;
     }
@@ -161,7 +192,7 @@ int main(int argc, char** argv) {
                   sparse.first_factor_ns, speedup, max_delta);
     json_rows += row;
   }
-  table.print(std::cout, "dense vs sparse MNA solve (steady state)");
+  table.print(std::cout, "dense vs sparse LU factor+solve (steady state)");
 
   if (!options.json.empty()) {
     std::ofstream out(options.json);

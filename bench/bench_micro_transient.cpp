@@ -1,7 +1,6 @@
 // Micro benchmark for the transient engine: timesteps/sec on the 5T OTA
 // step-response testbench (the workload a transient-aware yield flow runs
-// once per Monte-Carlo sample), reported for both linear-solve backends.
-// Establishes the perf baseline for future transient optimizations; run
+// once per Monte-Carlo sample), adaptive vs fixed stepping.  Establishes the perf baseline for future transient optimizations; run
 // with --scale=full for longer timing windows.
 #include <chrono>
 #include <cstdio>
@@ -79,44 +78,34 @@ int main(int argc, char** argv) {
   fixed.adaptive = false;
   fixed.dt_init = adaptive.t_stop / 3000.0;
 
-  // One solver per backend; each reuses its workspace (and, for sparse,
-  // its symbolic analysis) across every run.
-  spice::TranSolver tran_dense(circuit.netlist, spice::SolverBackend::kDense);
-  spice::TranSolver tran_sparse(circuit.netlist, spice::SolverBackend::kSparse);
+  // One solver reuses its workspace and symbolic analysis across every run.
+  spice::TranSolver tran(circuit.netlist);
 
   // Warm up caches and the branch predictor before timing.
-  time_mode(tran_dense, adaptive, op, 3);
-  time_mode(tran_sparse, adaptive, op, 3);
+  time_mode(tran, adaptive, op, 3);
 
-  Table table({"mode", "backend", "runs", "steps/run", "newton/step",
-               "steps/sec", "transients/sec"});
+  Table table({"mode", "runs", "steps/run", "newton/step", "steps/sec",
+               "transients/sec"});
   const struct {
     const char* name;
     const spice::TranOptions* mode;
   } modes[] = {{"adaptive", &adaptive}, {"fixed-3000", &fixed}};
-  const struct {
-    const char* name;
-    spice::TranSolver* solver;
-  } backends[] = {{"dense", &tran_dense}, {"sparse", &tran_sparse}};
   std::string json_rows;
   for (const auto& m : modes) {
-    for (const auto& b : backends) {
-      const Timing t = time_mode(*b.solver, *m.mode, op, runs);
-      const double steps_per_run = static_cast<double>(t.steps) / t.runs;
-      const double steps_per_sec = t.steps / t.seconds;
-      table.add_row({m.name, b.name, std::to_string(t.runs),
-                     format_rate(steps_per_run),
-                     format_rate(static_cast<double>(t.newton) / t.steps),
-                     format_rate(steps_per_sec),
-                     format_rate(t.runs / t.seconds)});
-      char row[256];
-      std::snprintf(row, sizeof(row),
-                    "%s{\"mode\":\"%s\",\"backend\":\"%s\","
-                    "\"steps_per_sec\":%.1f,\"transients_per_sec\":%.2f}",
-                    json_rows.empty() ? "" : ",", m.name, b.name,
-                    steps_per_sec, t.runs / t.seconds);
-      json_rows += row;
-    }
+    const Timing t = time_mode(tran, *m.mode, op, runs);
+    const double steps_per_run = static_cast<double>(t.steps) / t.runs;
+    const double steps_per_sec = t.steps / t.seconds;
+    table.add_row({m.name, std::to_string(t.runs), format_rate(steps_per_run),
+                   format_rate(static_cast<double>(t.newton) / t.steps),
+                   format_rate(steps_per_sec),
+                   format_rate(t.runs / t.seconds)});
+    char row[256];
+    std::snprintf(row, sizeof(row),
+                  "%s{\"mode\":\"%s\",\"steps_per_sec\":%.1f,"
+                  "\"transients_per_sec\":%.2f}",
+                  json_rows.empty() ? "" : ",", m.name, steps_per_sec,
+                  t.runs / t.seconds);
+    json_rows += row;
   }
   table.print(std::cout,
               "transient micro bench (" + std::to_string(circuit.netlist

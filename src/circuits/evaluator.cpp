@@ -105,9 +105,10 @@ AmplifierEvaluator::Session::Session(const AmplifierEvaluator& parent,
   for (const auto& m : circuit_.netlist.mosfets()) {
     base_cards_.push_back(m.model);
   }
-  const spice::SolverBackend backend = parent.options().backend;
-  dc_ = std::make_unique<spice::DcSolver>(circuit_.netlist, backend);
-  ac_ = std::make_unique<spice::AcSolver>(circuit_.netlist, backend);
+  // Perturbing model cards never changes the MNA pattern, so one symbolic
+  // analysis per solver serves every process sample the Session evaluates.
+  dc_ = std::make_unique<spice::DcSolver>(circuit_.netlist);
+  ac_ = std::make_unique<spice::AcSolver>(circuit_.netlist);
   if (parent.options().transient) {
     step_circuit_ = std::make_unique<BuiltCircuit>(
         parent.topology().build(x, Testbench::kStepBuffer));
@@ -116,10 +117,8 @@ AmplifierEvaluator::Session::Session(const AmplifierEvaluator& parent,
             "Session: step testbench transistor count mismatch");
     require(step_circuit_->step.source >= 0,
             "Session: step testbench has no stimulus");
-    step_dc_ =
-        std::make_unique<spice::DcSolver>(step_circuit_->netlist, backend);
-    tran_ =
-        std::make_unique<spice::TranSolver>(step_circuit_->netlist, backend);
+    step_dc_ = std::make_unique<spice::DcSolver>(step_circuit_->netlist);
+    tran_ = std::make_unique<spice::TranSolver>(step_circuit_->netlist);
   }
   if (blob.empty()) {
     nominal_perf_ = measure(/*is_nominal=*/true);

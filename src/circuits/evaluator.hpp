@@ -40,18 +40,16 @@ namespace moheco::circuits {
 /// daemon, the benches and the problem layers.  Entry points build a single
 /// EvalConfig from their flags and thread it unchanged through
 /// EvalOptions / MohecoOptions to every evaluation site, replacing the
-/// loose (bool transient, SolverBackend) parameter scatter.
+/// loose per-flag parameter scatter.
 struct EvalConfig {
   /// Also build the step-buffer testbench and run a transient per
   /// evaluation, filling Performance::slew_rate / settling_time.  Off by
   /// default: a transient costs ~100x a DC+AC evaluation, so yield flows
   /// opt in explicitly.
   bool transient = false;
-  /// Linear-solve backend for all of a Session's solvers.  Perturbing model
-  /// cards never changes the MNA pattern, so on the sparse backend one
-  /// symbolic analysis per solver serves every process sample the Session
-  /// evaluates.
-  spice::SolverBackend backend = spice::SolverBackend::kAuto;
+  /// Ignored: kept only because perfbench/ passes it to the solver
+  /// constructors.  Sparse LU is the one runtime solve path.
+  spice::SolverBackend backend = spice::SolverBackend::kSparse;
 };
 
 /// Evaluation controls shared by every Session of one evaluator: the common

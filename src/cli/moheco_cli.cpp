@@ -96,7 +96,6 @@ void print_usage() {
                "evaluation:\n"
                "  --transient           step-bench transient per sample (deck needs\n"
                "                        a .probe step card)\n"
-               "  --backend=dense|sparse|auto\n"
                "\n"
                "outputs:\n"
                "  --json=PATH           machine-readable results\n"
@@ -238,16 +237,6 @@ CliOptions parse_cli(int argc, char** argv) {
       }
     } else if (arg == "--transient") {
       cli.eval.transient = true;
-    } else if (key == "--backend") {
-      if (value == "dense") {
-        cli.eval.backend = spice::SolverBackend::kDense;
-      } else if (value == "sparse") {
-        cli.eval.backend = spice::SolverBackend::kSparse;
-      } else if (value == "auto") {
-        cli.eval.backend = spice::SolverBackend::kAuto;
-      } else {
-        throw InvalidArgument("moheco_cli: unknown backend in '" + arg + "'");
-      }
     } else if (key == "--json") {
       cli.json_path = value;
     } else if (key == "--deck-out") {

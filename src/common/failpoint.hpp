@@ -29,7 +29,7 @@ namespace moheco::fail {
 
 enum class Site : int {
   kSparseFactor = 0,  // sparse LU pivot breakdown
-  kDenseFactor,       // dense LU pivot breakdown
+  kDenseFactor,       // dense LU breakdown on the sparse_to_dense rung
   kNewton,            // Newton non-convergence
   kTranStall,         // transient LTE stall (step-count exhaustion)
   kWarmBlob,          // warm-start blob corruption

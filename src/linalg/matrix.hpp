@@ -1,9 +1,8 @@
 // Dense row-major matrix and vector types used by the MNA solver, the
 // Levenberg-Marquardt trainer and the least-squares fits.
 //
-// Small circuit matrices (tens of unknowns) stay on this dense
-// representation, where LU's constant factors beat any sparse scheme;
-// larger MNA systems use src/linalg/sparse.hpp (see spice::SolverBackend).
+// MNA systems of every size solve on src/linalg/sparse.hpp; dense LU on
+// this representation is the sparse-breakdown fallback and the test oracle.
 #pragma once
 
 #include <complex>

@@ -37,8 +37,7 @@ std::string deck_content_hash(const std::string& deck_text) {
 
 std::string warm_fingerprint(const JobSpec& spec) {
   std::ostringstream oss;
-  oss << "warm1 transient=" << (spec.eval.transient ? 1 : 0)
-      << " backend=" << static_cast<int>(spec.eval.backend);
+  oss << "warm1 transient=" << (spec.eval.transient ? 1 : 0);
   return oss.str();
 }
 

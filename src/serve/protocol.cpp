@@ -9,22 +9,9 @@
 
 #include "src/common/error.hpp"
 #include "src/common/failpoint.hpp"
-#include "src/spice/mna.hpp"
 #include "src/stats/samplers.hpp"
 
 namespace moheco::serve {
-
-namespace {
-
-bool parse_backend(const std::string& text, spice::SolverBackend* out) {
-  if (text == "dense") *out = spice::SolverBackend::kDense;
-  else if (text == "sparse") *out = spice::SolverBackend::kSparse;
-  else if (text == "auto") *out = spice::SolverBackend::kAuto;
-  else return false;
-  return true;
-}
-
-}  // namespace
 
 std::string encode_submit(const JobSpec& spec, const std::string& tag) {
   const core::MohecoOptions& m = spec.moheco;
@@ -39,7 +26,6 @@ std::string encode_submit(const JobSpec& spec, const std::string& tag) {
   options.add_bool("use_memetic", m.use_memetic);
   options.add_int("estimate_samples", spec.estimate_samples);
   options.add_bool("transient", spec.eval.transient);
-  options.add_string("backend", spice::to_string(spec.eval.backend));
   options.add_bool("sized_deck", spec.want_sized_deck);
   // Only when set: keeps default submits byte-identical to older clients.
   if (spec.deadline_ms > 0) options.add_int("deadline_ms", spec.deadline_ms);
@@ -118,12 +104,6 @@ bool decode_submit(const JsonValue& request, JobSpec* spec, std::string* tag,
       }
     } else if (key == "transient") {
       spec->eval.transient = value.as_bool();
-    } else if (key == "backend") {
-      if (!value.is_string() ||
-          !parse_backend(value.as_string(), &spec->eval.backend)) {
-        *error = "options.backend must be \"dense\", \"sparse\" or \"auto\"";
-        return false;
-      }
     } else if (key == "sized_deck") {
       spec->want_sized_deck = value.as_bool();
     } else if (key == "deadline_ms") {

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <complex>
+#include <span>
 #include <vector>
 
 #include "src/spice/dc_solver.hpp"
@@ -20,15 +21,24 @@
 
 namespace moheco::spice {
 
+/// Stamps the small-signal system (G + j*omega*C) x = b with the MOSFETs
+/// linearized at `mos` (parallel to netlist.mosfets()): small-signal
+/// conductances and terminal capacitances.  The add/rhs_add sequence is the
+/// same for every omega and operating point.
+void stamp_small_signal(const Netlist& netlist, const MnaLayout& layout,
+                        Stamper<std::complex<double>>& stamper,
+                        std::span<const MosOp> mos, double omega);
+
 class AcSolver {
  public:
-  /// Binds to `netlist`; call prepare() before the first solve().
+  /// Binds to `netlist`; call prepare() before the first solve().  The
+  /// ignored SolverBackend parameter is kept only for perfbench/.
   explicit AcSolver(const Netlist& netlist,
-                    SolverBackend backend = SolverBackend::kAuto);
+                    SolverBackend = SolverBackend::kSparse);
   /// Convenience: bind and prepare in one step.  `op` must come from a
   /// DcSolver on the same netlist.
   AcSolver(const Netlist& netlist, const OperatingPoint& op,
-           SolverBackend backend = SolverBackend::kAuto);
+           SolverBackend = SolverBackend::kSparse);
 
   /// Re-linearizes the MOSFETs at `op` (small-signal conductances and
   /// terminal capacitances).  Cheap: the MNA pattern and any cached
@@ -44,23 +54,13 @@ class AcSolver {
   /// V(np) - V(nn).
   std::complex<double> differential(NodeId np, NodeId nn) const;
 
-  /// Resolved linear-solve backend (never kAuto).
-  SolverBackend backend() const { return sys_.backend(); }
-
  private:
-  /// Operating-point-dependent MOSFET small-signal parameters, refreshed by
-  /// prepare(); everything else stamps straight from the netlist.
-  struct MosSmallSignal {
-    double gm = 0.0, gds = 0.0, gmb = 0.0;
-    MosCaps caps;
-  };
-
-  void stamp(double omega);
-
   const Netlist& netlist_;
   MnaLayout layout_;
   MnaSystem<std::complex<double>> sys_;
-  std::vector<MosSmallSignal> mos_;
+  /// MOSFET operating points, refreshed by prepare(); everything else
+  /// stamps straight from the netlist.
+  std::vector<MosOp> mos_;
   bool prepared_ = false;
   linalg::VectorC solution_;
 };

@@ -17,10 +17,10 @@ const char* to_string(SolveStatus status) {
   return "?";
 }
 
-DcSolver::DcSolver(const Netlist& netlist, SolverBackend backend)
+DcSolver::DcSolver(const Netlist& netlist, SolverBackend)
     : netlist_(netlist), layout_(netlist) {
   netlist.validate();
-  sys_.reset(layout_.size(), backend);
+  sys_.reset(layout_.size());
 }
 
 std::uint64_t DcSolver::pattern_key() const {
@@ -38,7 +38,6 @@ std::uint64_t DcSolver::pattern_key() const {
   mix(netlist_.vsources().size());
   mix(netlist_.isources().size());
   mix(netlist_.vcvs().size());
-  mix(static_cast<std::uint64_t>(sys_.backend()));
   return h;
 }
 
@@ -89,16 +88,17 @@ void stamp_linear_static(const Netlist& netlist, const MnaLayout& layout,
   }
 }
 
-void DcSolver::stamp_linear(Stamper<double>& stamper, double gmin,
-                            double source_scale) const {
-  stamp_linear_static(netlist_, layout_, stamper, gmin, source_scale,
+void stamp_linear_dc(const Netlist& netlist, const MnaLayout& layout,
+                     Stamper<double>& stamper, double gmin,
+                     double source_scale) {
+  stamp_linear_static(netlist, layout, stamper, gmin, source_scale,
                       /*time=*/-1.0);
   // Capacitors are open at DC.
-  for (std::size_t i = 0; i < netlist_.inductors().size(); ++i) {
-    const auto& l = netlist_.inductors()[i];
-    const int br = static_cast<int>(layout_.inductor_branch(i));
-    const int n1 = layout_.node_index(l.n1);
-    const int n2 = layout_.node_index(l.n2);
+  for (std::size_t i = 0; i < netlist.inductors().size(); ++i) {
+    const auto& l = netlist.inductors()[i];
+    const int br = static_cast<int>(layout.inductor_branch(i));
+    const int n1 = layout.node_index(l.n1);
+    const int n2 = layout.node_index(l.n2);
     stamper.add(n1, br, 1.0);
     stamper.add(n2, br, -1.0);
     stamper.add(br, n1, 1.0);
@@ -152,11 +152,6 @@ void stamp_mosfets_large_signal(const Netlist& netlist,
   }
 }
 
-void DcSolver::stamp_mosfets(Stamper<double>& stamper,
-                             const std::vector<double>& x) const {
-  stamp_mosfets_large_signal(netlist_, layout_, stamper, x);
-}
-
 SolveStatus DcSolver::newton_loop(const DcOptions& options, double gmin,
                                   double source_scale,
                                   std::vector<double>& x) {
@@ -170,8 +165,8 @@ SolveStatus DcSolver::newton_loop(const DcOptions& options, double gmin,
     ++last_iterations_;
     sys_.begin_assembly();
     Stamper<double> stamper(sys_);
-    stamp_linear(stamper, gmin, source_scale);
-    stamp_mosfets(stamper, x);
+    stamp_linear_dc(netlist_, layout_, stamper, gmin, source_scale);
+    stamp_mosfets_large_signal(netlist_, layout_, stamper, x);
     sys_.end_assembly();
     x_new = sys_.rhs();
     if (!sys_.factor()) return SolveStatus::kSingular;

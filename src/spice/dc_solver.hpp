@@ -37,6 +37,12 @@ void stamp_linear_static(const Netlist& netlist, const MnaLayout& layout,
                          Stamper<double>& stamper, double gmin,
                          double source_scale, double time);
 
+/// The DC operating-point assembly minus the MOSFETs: stamp_linear_static
+/// at DC source values plus each inductor as a short (capacitors are open).
+void stamp_linear_dc(const Netlist& netlist, const MnaLayout& layout,
+                     Stamper<double>& stamper, double gmin,
+                     double source_scale);
+
 struct DcOptions {
   int max_iterations = 200;
   double v_tol = 1e-6;      ///< absolute node-voltage tolerance (V)
@@ -68,12 +74,12 @@ struct OperatingPoint {
 
 class DcSolver {
  public:
-  /// `backend` selects the linear-solve path (kAuto: dense below
-  /// kSparseAutoThreshold unknowns, sparse above).  The sparse backend's
-  /// symbolic analysis is computed once per netlist pattern and reused by
-  /// every Newton iteration and every solve() call on this instance.
+  /// The sparse LU's symbolic analysis is computed once per netlist
+  /// pattern and reused by every Newton iteration and every solve() call on
+  /// this instance.  The ignored SolverBackend parameter is kept only for
+  /// perfbench/.
   explicit DcSolver(const Netlist& netlist,
-                    SolverBackend backend = SolverBackend::kAuto);
+                    SolverBackend = SolverBackend::kSparse);
 
   /// Solves for the operating point.  If `warm_start` is non-null and sized
   /// correctly it seeds the Newton iteration (and receives the solution).
@@ -82,15 +88,13 @@ class DcSolver {
 
   const OperatingPoint& op() const { return op_; }
   const MnaLayout& layout() const { return layout_; }
-  /// Resolved linear-solve backend (never kAuto).
-  SolverBackend backend() const { return sys_.backend(); }
 
   /// Structural fingerprint of the assembled system (unknown layout, device
-  /// counts, resolved backend).  A serialized warm-start solution is only
-  /// valid for a solver with the same key: the evaluator embeds it in its
-  /// warm-start blob and rejects blobs whose key does not match, so a blob
-  /// captured under a different netlist structure or backend can never seed
-  /// a Newton iteration with a mis-shaped vector.
+  /// counts).  A serialized warm-start solution is only valid for a solver
+  /// with the same key: the evaluator embeds it in its warm-start blob and
+  /// rejects blobs whose key does not match, so a blob captured under a
+  /// different netlist structure can never seed a Newton iteration with a
+  /// mis-shaped vector.
   std::uint64_t pattern_key() const;
 
   /// Newton iterations used by the last solve (across all continuation
@@ -101,10 +105,6 @@ class DcSolver {
   /// One Newton loop at fixed (gmin, source_scale) from state `x`.
   SolveStatus newton_loop(const DcOptions& options, double gmin,
                           double source_scale, std::vector<double>& x);
-  void stamp_linear(Stamper<double>& stamper, double gmin,
-                    double source_scale) const;
-  void stamp_mosfets(Stamper<double>& stamper,
-                     const std::vector<double>& x) const;
   void extract_op(const std::vector<double>& x);
 
   const Netlist& netlist_;

@@ -5,14 +5,15 @@
 // transient solvers, so a DC solution vector can warm-start subsequent DC
 // solves and feed the AC linearization directly.
 //
-// MnaSystem adds the assembled-system storage behind a backend switch: a
-// dense matrix + dense LU for tiny systems, or a CSC sparse matrix + sparse
-// LU with cached symbolic analysis for everything else.  The first assembly
-// records the stamp sequence and resolves every stamp to a stable value
-// slot; later assemblies replay the identical sequence against those slots,
-// so the sparse pattern -- and the symbolic factorization derived from it --
-// is fixed at netlist-build time and survives Newton iterations, transient
-// timesteps and Monte-Carlo model-card perturbations alike.
+// MnaSystem adds the assembled-system storage: a CSC sparse matrix + sparse
+// LU with cached symbolic analysis, the one runtime solve path at every
+// size (sparse LU beats dense LU even on the 13-unknown 5T OTA testbench).
+// The first assembly records the stamp sequence and resolves every stamp to
+// a stable value slot; later assemblies replay the identical sequence
+// against those slots, so the sparse pattern -- and the symbolic
+// factorization derived from it -- is fixed at netlist-build time and
+// survives Newton iterations, transient timesteps and Monte-Carlo
+// model-card perturbations alike.
 #pragma once
 
 #include <cstddef>
@@ -50,20 +51,11 @@ class MnaLayout {
   std::vector<std::size_t> inductor_branch_;
 };
 
-/// Linear-solve backend for an assembled MNA system.  kAuto picks dense for
-/// tiny systems (the amplifier testbenches, where dense LU wins on constant
-/// factors) and sparse above kSparseAutoThreshold unknowns.
-enum class SolverBackend { kDense, kSparse, kAuto };
+/// Kept only because perfbench/ passes `EvalOptions::backend` to the
+/// solver constructors, which ignore it: sparse LU is the one runtime path.
+enum class SolverBackend { kSparse };
 
-const char* to_string(SolverBackend backend);
-
-/// kAuto switches to the sparse path at this many unknowns.
-inline constexpr std::size_t kSparseAutoThreshold = 64;
-
-/// Resolves kAuto against the system size; kDense/kSparse pass through.
-SolverBackend resolve_backend(SolverBackend requested, std::size_t n);
-
-/// Assembled MNA system (matrix + rhs) behind a SolverBackend.
+/// Assembled MNA system (matrix + rhs) on sparse LU.
 ///
 /// Assembly protocol, repeated identically every time the system is
 /// (re)stamped:
@@ -77,31 +69,27 @@ SolverBackend resolve_backend(SolverBackend requested, std::size_t n);
 ///   sys.solve(x);
 ///
 /// The first begin/end pair captures the pattern; from then on stamps are
-/// slot replays and, on the sparse backend, factor() is a numeric-only
-/// refactorization against the cached symbolic analysis.
+/// slot replays and factor() is a numeric-only refactorization against the
+/// cached symbolic analysis.
 template <typename Scalar>
 class MnaSystem {
  public:
   MnaSystem() = default;
 
-  /// Sizes the system and resolves the backend.  Discards any captured
-  /// pattern; call once per (netlist, analysis) pairing.
-  void reset(std::size_t n, SolverBackend backend);
+  /// Sizes the system.  Discards any captured pattern; call once per
+  /// (netlist, analysis) pairing.
+  void reset(std::size_t n);
 
   std::size_t size() const { return n_; }
-  bool is_sparse() const { return sparse_; }
-  SolverBackend backend() const {
-    return sparse_ ? SolverBackend::kSparse : SolverBackend::kDense;
-  }
 
   void begin_assembly();
   /// Adds `v` at (r, c); r and c must be valid indices (the Stamper elides
   /// ground).  During the first assembly this records the pattern; later
   /// assemblies replay the recorded slot sequence.  The replay path is the
   /// innermost loop of every Monte-Carlo sample, so it is inlined here;
-  /// pattern capture and the dense backend take the cold out-of-line path.
+  /// pattern capture takes the cold out-of-line path.
   void add(int r, int c, Scalar v) {
-    if (sparse_ && pattern_ready_) [[likely]] {
+    if (pattern_ready_) [[likely]] {
       if (cursor_ >= slots_.size()) [[unlikely]] replay_overflow();
       sparse_a_.value(slots_[cursor_++]) += v;
       return;
@@ -113,55 +101,45 @@ class MnaSystem {
 
   std::vector<Scalar>& rhs() { return rhs_; }
 
-  /// Factors the assembled matrix; false when numerically singular.  On
-  /// the sparse backend a pivot breakdown first retries the assembly
-  /// through dense LU (the sparse_to_dense degradation rung) before
-  /// reporting failure; solve() then follows the fallback factorization.
+  /// Factors the assembled matrix; false when numerically singular.  A
+  /// sparse pivot breakdown first retries the assembly through dense LU
+  /// (the sparse_to_dense degradation rung) before reporting failure;
+  /// solve() then follows the fallback factorization.
   bool factor();
   /// Solves in place against the last successful factor().
   void solve(std::vector<Scalar>& b) const;
 
-  /// Sparse-backend diagnostics (0 on the dense backend).
-  long long full_factorizations() const {
-    return sparse_ ? sparse_lu_.full_factorizations() : 0;
-  }
-  long long refactorizations() const {
-    return sparse_ ? sparse_lu_.refactorizations() : 0;
-  }
-  std::size_t pattern_nnz() const { return sparse_ ? sparse_a_.nnz() : n_ * n_; }
-
  private:
-  /// Pattern capture / dense-backend leg of add().
+  /// Pattern-capture leg of add().
   void add_cold(int r, int c, Scalar v);
   [[noreturn]] void replay_overflow() const;
 
   std::size_t n_ = 0;
-  bool sparse_ = false;
   bool pattern_ready_ = false;
-  /// Last factor() on the sparse backend went through the dense-LU
-  /// degradation rung (sparse pivot breakdown); solve() follows it.
+  /// Last factor() went through the dense-LU degradation rung (sparse
+  /// pivot breakdown); solve() follows it.
   bool dense_fallback_ = false;
   std::vector<Scalar> rhs_;
 
-  // Dense backend.
-  linalg::Matrix<Scalar> dense_a_;
-  linalg::LuSolver<Scalar> dense_lu_;
-
-  // Sparse backend: capture state (first assembly only), then slot replay.
+  // Capture state (first assembly only), then slot replay.
   linalg::SparseBuilder builder_;
   std::vector<Scalar> capture_values_;
   std::vector<std::uint32_t> slots_;
   std::size_t cursor_ = 0;
   linalg::SparseMatrix<Scalar> sparse_a_;
   linalg::SparseLuSolver<Scalar> sparse_lu_;
+
+  // The sparse_to_dense degradation rung only; never a runtime path.
+  linalg::Matrix<Scalar> dense_a_;
+  linalg::LuSolver<Scalar> dense_lu_;
 };
 
 extern template class MnaSystem<double>;
 extern template class MnaSystem<std::complex<double>>;
 
 /// Helper for stamping with ground (index -1) elision.  Stamps either into
-/// a caller-owned dense matrix + rhs (pattern discovery, tests) or into an
-/// MnaSystem, which dispatches to its backend.
+/// a caller-owned dense matrix + rhs (the dense-LU oracle of the parity
+/// tests and bench_micro_sparse) or into an MnaSystem.
 template <typename Scalar>
 class Stamper {
  public:

@@ -11,10 +11,10 @@
 
 namespace moheco::spice {
 
-TranSolver::TranSolver(const Netlist& netlist, SolverBackend backend)
+TranSolver::TranSolver(const Netlist& netlist, SolverBackend)
     : netlist_(netlist), layout_(netlist) {
   netlist.validate();
-  sys_.reset(layout_.size(), backend);
+  sys_.reset(layout_.size());
   inductor_v_prev_.assign(netlist.inductors().size(), 0.0);
 }
 

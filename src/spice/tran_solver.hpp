@@ -57,11 +57,11 @@ struct TranStats {
 /// perturbation); workspace and layout are allocated once.
 class TranSolver {
  public:
-  /// `backend` selects the linear-solve path (see SolverBackend); the
-  /// sparse backend's symbolic analysis is shared by every timestep's
-  /// Newton iterations and every run() on this instance.
+  /// The sparse LU's symbolic analysis is shared by every timestep's
+  /// Newton iterations and every run() on this instance.  The ignored
+  /// SolverBackend parameter is kept only for perfbench/.
   explicit TranSolver(const Netlist& netlist,
-                      SolverBackend backend = SolverBackend::kAuto);
+                      SolverBackend = SolverBackend::kSparse);
 
   /// Integrates from t = 0 to options.t_stop.  If `initial_op` is non-null
   /// and sized layout().size() it is used as the t = 0 state (it must be a
@@ -72,8 +72,6 @@ class TranSolver {
 
   const MnaLayout& layout() const { return layout_; }
   const TranStats& stats() const { return stats_; }
-  /// Resolved linear-solve backend (never kAuto).
-  SolverBackend backend() const { return sys_.backend(); }
 
   /// Accepted time points (time()[0] == 0) and node voltages.
   const std::vector<double>& time() const { return time_; }

@@ -55,6 +55,9 @@ TEST(CliExitCodes, UsageErrorsExitTwoAndNameTheFlag) {
   EXPECT_NE(out.find("--batch=8"), std::string::npos) << out;
   EXPECT_EQ(run(cli_path() + " " + example_deck() + " --no-overlap", &out), 2);
   EXPECT_NE(out.find("--no-overlap"), std::string::npos) << out;
+  EXPECT_EQ(run(cli_path() + " " + example_deck() + " --backend=dense", &out),
+            2);
+  EXPECT_NE(out.find("--backend=dense"), std::string::npos) << out;
   // No deck and no control op: usage, not a crash.
   EXPECT_EQ(run(cli_path(), &out), 2);
   // Inconsistent serving flags: --op without --connect, --job without --op.

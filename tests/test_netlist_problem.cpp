@@ -95,37 +95,29 @@ TEST(NetlistYieldProblem, NominalPerformanceMatchesBuiltin) {
 TEST(NetlistYieldProblem, IdenticalTalliesWithBuiltinProblem) {
   // The acceptance gate of the deck frontend: same design vector, same
   // sample stream seed => bit-identical pass/fail per sample, so the yield
-  // tallies agree exactly (not just within MC noise), on either linear
-  // solve backend.
-  for (spice::SolverBackend backend :
-       {spice::SolverBackend::kAuto, spice::SolverBackend::kSparse}) {
-    EvalOptions eval;
-    eval.backend = backend;
-    NetlistYieldProblem deck_problem(example_deck(), eval);
-    const CircuitYieldProblem builtin(make_five_transistor_ota(), eval);
-    ASSERT_EQ(deck_problem.noise_dim(), builtin.noise_dim());
-    const std::vector<double> x = deck_problem.nominal_x();
+  // tallies agree exactly (not just within MC noise).
+  NetlistYieldProblem deck_problem(example_deck());
+  const CircuitYieldProblem builtin(make_five_transistor_ota());
+  ASSERT_EQ(deck_problem.noise_dim(), builtin.noise_dim());
+  const std::vector<double> x = deck_problem.nominal_x();
 
-    ThreadPool pool(4);
-    mc::EvalScheduler scheduler(pool);
-    mc::SimCounter sims;
-    mc::CandidateYield deck_tally(deck_problem, x, /*stream_seed=*/77);
-    mc::CandidateYield builtin_tally(builtin, x, /*stream_seed=*/77);
-    mc::CandidateYield* both[] = {&deck_tally, &builtin_tally};
-    scheduler.screen(both, sims);
-    EXPECT_EQ(deck_tally.nominal_feasible(), builtin_tally.nominal_feasible());
-    EXPECT_EQ(deck_tally.nominal_violation(),
-              builtin_tally.nominal_violation());
-    scheduler.refine(deck_tally, 400, sims, {});
-    scheduler.refine(builtin_tally, 400, sims, {});
-    EXPECT_EQ(deck_tally.samples(), builtin_tally.samples());
-    EXPECT_EQ(deck_tally.passes(), builtin_tally.passes())
-        << spice::to_string(backend);
-    // The committed nominal sits mid-yield on purpose, so this comparison
-    // exercises both pass and fail samples.
-    EXPECT_GT(deck_tally.passes(), 0);
-    EXPECT_LT(deck_tally.passes(), deck_tally.samples());
-  }
+  ThreadPool pool(4);
+  mc::EvalScheduler scheduler(pool);
+  mc::SimCounter sims;
+  mc::CandidateYield deck_tally(deck_problem, x, /*stream_seed=*/77);
+  mc::CandidateYield builtin_tally(builtin, x, /*stream_seed=*/77);
+  mc::CandidateYield* both[] = {&deck_tally, &builtin_tally};
+  scheduler.screen(both, sims);
+  EXPECT_EQ(deck_tally.nominal_feasible(), builtin_tally.nominal_feasible());
+  EXPECT_EQ(deck_tally.nominal_violation(), builtin_tally.nominal_violation());
+  scheduler.refine(deck_tally, 400, sims, {});
+  scheduler.refine(builtin_tally, 400, sims, {});
+  EXPECT_EQ(deck_tally.samples(), builtin_tally.samples());
+  EXPECT_EQ(deck_tally.passes(), builtin_tally.passes());
+  // The committed nominal sits mid-yield on purpose, so this comparison
+  // exercises both pass and fail samples.
+  EXPECT_GT(deck_tally.passes(), 0);
+  EXPECT_LT(deck_tally.passes(), deck_tally.samples());
 }
 
 TEST(NetlistYieldProblem, OptimizerRunsAreIdentical) {

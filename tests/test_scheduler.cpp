@@ -885,29 +885,21 @@ std::vector<long long> circuit_tallies(const YieldProblem& problem,
 }
 
 TEST(EvalScheduler, CircuitTalliesIndependentOfThreads) {
-  // The amplifier sessions are pure functions of (x, xi) on both linear
-  // solve backends: the worker count never changes a tally.
-  for (spice::SolverBackend backend :
-       {spice::SolverBackend::kAuto, spice::SolverBackend::kSparse}) {
-    circuits::EvalOptions eval;
-    eval.backend = backend;
-    // The deck's nominal sizing sits mid-yield, so the tallies count both
-    // passing and failing samples.
-    const circuits::NetlistYieldProblem problem(
-        spice::parse_deck_file(std::string(MOHECO_SOURCE_DIR) +
-                               "/examples/five_t_ota.cir"),
-        eval);
-    const std::vector<double> x = problem.nominal_x();
-    const std::vector<long long> reference =
-        circuit_tallies(problem, x, /*workers=*/1, 0x5C4ED);
-    for (long long passes : reference) {
-      EXPECT_GT(passes, 0);
-      EXPECT_LT(passes, 36);
-    }
-    for (int workers : {2, 3}) {
-      EXPECT_EQ(circuit_tallies(problem, x, workers, 0x5C4ED), reference)
-          << spice::to_string(backend) << " workers=" << workers;
-    }
+  // The amplifier sessions are pure functions of (x, xi): the worker count
+  // never changes a tally.  The deck's nominal sizing sits mid-yield, so
+  // the tallies count both passing and failing samples.
+  const circuits::NetlistYieldProblem problem(spice::parse_deck_file(
+      std::string(MOHECO_SOURCE_DIR) + "/examples/five_t_ota.cir"));
+  const std::vector<double> x = problem.nominal_x();
+  const std::vector<long long> reference =
+      circuit_tallies(problem, x, /*workers=*/1, 0x5C4ED);
+  for (long long passes : reference) {
+    EXPECT_GT(passes, 0);
+    EXPECT_LT(passes, 36);
+  }
+  for (int workers : {2, 3}) {
+    EXPECT_EQ(circuit_tallies(problem, x, workers, 0x5C4ED), reference)
+        << "workers=" << workers;
   }
 }
 

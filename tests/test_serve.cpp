@@ -248,12 +248,17 @@ TEST(Protocol, SubmitDecodeIsStrict) {
   EXPECT_FALSE(decode_submit(*overlap, &spec, &tag, &error));
   EXPECT_EQ(error, "unknown option 'overlap'");
   EXPECT_EQ(encode_submit(JobSpec{}, "").find("overlap"), std::string::npos);
+  // Likewise `backend`: sparse LU is the one linear-solve path.
+  const std::optional<JsonValue> backend = parse_json(
+      "{\"op\":\"submit\",\"mode\":\"estimate\",\"deck\":\"x\","
+      "\"options\":{\"backend\":\"sparse\"}}");
+  ASSERT_TRUE(backend.has_value());
+  EXPECT_FALSE(decode_submit(*backend, &spec, &tag, &error));
+  EXPECT_EQ(error, "unknown option 'backend'");
+  EXPECT_EQ(encode_submit(JobSpec{}, "").find("backend"), std::string::npos);
   fails(
       "{\"op\":\"submit\",\"mode\":\"estimate\",\"deck\":\"x\","
       "\"options\":{\"sampling\":\"sobol\"}}");
-  fails(
-      "{\"op\":\"submit\",\"mode\":\"estimate\",\"deck\":\"x\","
-      "\"options\":{\"backend\":\"gpu\"}}");
   fails(
       "{\"op\":\"submit\",\"mode\":\"optimize\",\"deck\":\"x\","
       "\"options\":{\"population\":2}}");
