@@ -68,9 +68,6 @@ int main(int argc, char** argv) {
     row_sched.session_hits -= sched_before.session_hits;
     row_sched.cold_opens -= sched_before.cold_opens;
     row_sched.warm_opens -= sched_before.warm_opens;
-    row_sched.affinity_hits -= sched_before.affinity_hits;
-    row_sched.steals -= sched_before.steals;
-    row_sched.migrations -= sched_before.migrations;
     char row[256];
     std::snprintf(row, sizeof(row),
                   "%s{\"samples\":%lld,\"reps\":%d,\"pmc_std\":%.6f,"

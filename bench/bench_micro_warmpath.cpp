@@ -1,5 +1,5 @@
-// Micro benchmark for the warm evaluation path: the EvalScheduler's sticky
-// candidate->worker affinity plus its warm-start blob store, measured with
+// Micro benchmark for the warm evaluation path: the EvalScheduler's
+// per-worker session caches plus its warm-start blob store, measured with
 // the blob store on and off on identical work.
 //
 // The synthetic problem charges a large session-open cost (the nominal
@@ -7,16 +7,15 @@
 // problems.  Two workloads:
 //
 //   - eviction-heavy: candidates per worker == cache capacity at 8
-//     workers.  Sticky affinity pins each candidate to one worker, so the
-//     LRU caches stop thrashing when workers run concurrently; whatever
-//     still gets evicted (an oversubscribed host serializes the workers and
-//     stealing moves candidates) is revived from the blob store.
+//     workers.  Tasks go to whichever worker is free, so a candidate's
+//     session can be rebuilt on several workers and the LRU caches evict;
+//     whatever gets evicted is revived from the blob store.
 //   - capacity-constrained: cache capacity below candidates per worker, so
 //     every worker must evict.  The warm-start blob store turns those
 //     rebuilds into cheap revivals.
 //
-// Reports samples/sec, session opens (cold and warm) and affinity counts
-// per workload and worker count.  Doubles as a correctness gate: tallies
+// Reports samples/sec and session opens (cold and warm) per workload and
+// worker count.  Doubles as a correctness gate: tallies
 // must be bit-identical across worker counts, cache capacities, and blobs
 // on/off.
 //
@@ -131,9 +130,6 @@ struct RunResult {
   double samples_per_sec = 0.0;
   long long session_opens = 0;
   long long warm_opens = 0;
-  long long affinity_hits = 0;
-  long long steals = 0;
-  long long migrations = 0;
   std::vector<long long> passes;  ///< per-candidate tally (determinism key)
 };
 
@@ -167,9 +163,6 @@ RunResult run_rounds(const mc::YieldProblem& problem, int num_candidates,
   result.samples_per_sec = static_cast<double>(sims.total()) / elapsed;
   result.session_opens = scheduler.session_opens();
   result.warm_opens = scheduler.warm_opens();
-  result.affinity_hits = scheduler.affinity_hits();
-  result.steals = scheduler.steals();
-  result.migrations = scheduler.migrations();
   for (const auto& c : candidates) result.passes.push_back(c->passes());
   return result;
 }
@@ -218,7 +211,7 @@ double observability_overhead(int samples, int reps, std::uint64_t seed) {
 int main(int argc, char** argv) {
   const BenchOptions options = bench::bench_prologue(
       argc, argv,
-      "Micro: warm-path scheduler (sticky affinity + warm-start blobs)");
+      "Micro: warm-path scheduler (session caches + warm-start blobs)");
   const bool smoke = options.scale == BenchScale::kSmoke;
   const int num_candidates = 64;
   const int open_spin = 40000;  // ~tens of us: nominal measurement stand-in
@@ -230,7 +223,7 @@ int main(int argc, char** argv) {
     int sessions_per_worker;
   };
   const Scenario scenarios[] = {
-      // candidates/worker == capacity at 8 workers: sticky -> no evictions.
+      // candidates/worker == capacity at 8 workers.
       {"eviction-heavy (cap=8)", 8},
       // capacity below candidates/worker: warm-start revivals carry it.
       {"capacity-constrained (cap=4)", 4},
@@ -241,8 +234,7 @@ int main(int argc, char** argv) {
   const int rounds = smoke ? 12 : 30;
 
   Table table({"workload", "workers", "no-blob samp/s", "warm samp/s",
-               "opens no-blob", "opens warm", "cold opens", "warm share",
-               "steals"});
+               "opens no-blob", "opens warm", "cold opens", "warm share"});
   bool ok = true;
   std::string json_rows;
   std::vector<long long> reference_passes;
@@ -289,8 +281,7 @@ int main(int argc, char** argv) {
       table.add_row({scenario.name, std::to_string(workers), cs, ws_sps,
                      std::to_string(cold.session_opens),
                      std::to_string(opt.session_opens),
-                     std::to_string(opt_cold), ws,
-                     std::to_string(opt.steals)});
+                     std::to_string(opt_cold), ws});
       char row[512];
       std::snprintf(
           row, sizeof(row),
@@ -298,12 +289,10 @@ int main(int argc, char** argv) {
           "\"no_blob_sps\":%.1f,\"warm_sps\":%.1f,"
           "\"no_blob_opens\":%lld,\"warm_path_opens\":%lld,"
           "\"cold_opens\":%lld,"
-          "\"warm_opens\":%lld,\"affinity_hits\":%lld,\"steals\":%lld,"
-          "\"migrations\":%lld}",
+          "\"warm_opens\":%lld}",
           json_rows.empty() ? "" : ",", scenario.name, workers, num_candidates,
           cold.samples_per_sec, opt.samples_per_sec, cold.session_opens,
-          opt.session_opens, opt_cold, opt.warm_opens, opt.affinity_hits,
-          opt.steals, opt.migrations);
+          opt.session_opens, opt_cold, opt.warm_opens);
       json_rows += row;
     }
   }

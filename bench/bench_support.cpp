@@ -194,11 +194,9 @@ std::string json_sched_breakdown(const mc::SchedBreakdown& breakdown) {
   char buffer[256];
   std::snprintf(buffer, sizeof(buffer),
                 "{\"session_hits\":%lld,\"cold_opens\":%lld,"
-                "\"warm_opens\":%lld,\"affinity_hits\":%lld,"
-                "\"steals\":%lld,\"migrations\":%lld}",
+                "\"warm_opens\":%lld}",
                 breakdown.session_hits, breakdown.cold_opens,
-                breakdown.warm_opens, breakdown.affinity_hits,
-                breakdown.steals, breakdown.migrations);
+                breakdown.warm_opens);
   return buffer;
 }
 

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -12,25 +11,14 @@
 namespace moheco {
 
 struct ThreadPool::Impl {
-  /// Per-shard claim cursor, cache-line aligned so neighbouring shards do
-  /// not false-share under concurrent claiming.
-  struct alignas(64) ShardCursor {
-    std::atomic<std::size_t> next{0};
-  };
-
   std::vector<std::thread> workers;
   std::mutex mutex;
   std::condition_variable cv_work;
   std::condition_variable cv_done;
   const std::function<void(int, std::size_t)>* fn = nullptr;
-  // parallel_for state
   std::size_t count = 0;
   std::size_t grain = 1;
   std::atomic<std::size_t> next{0};
-  // parallel_for_sharded state (non-null queues selects the sharded mode)
-  const std::vector<std::size_t>* queues = nullptr;
-  std::size_t num_queues = 0;
-  ShardCursor* cursors = nullptr;
   std::size_t generation = 0;
   int active = 0;
   bool stop = false;
@@ -54,22 +42,6 @@ struct ThreadPool::Impl {
     }
   }
 
-  void drain_sharded(int id) {
-    // Own queue first (pass 0), then steal round-robin.  Cursors only grow,
-    // so a queue drained during an earlier pass stays drained.
-    const std::size_t home = static_cast<std::size_t>(id) % num_queues;
-    for (std::size_t pass = 0; pass < num_queues; ++pass) {
-      const std::size_t q = (home + pass) % num_queues;
-      const std::vector<std::size_t>& queue = queues[q];
-      for (;;) {
-        const std::size_t k =
-            cursors[q].next.fetch_add(1, std::memory_order_relaxed);
-        if (k >= queue.size()) break;
-        run_item(id, queue[k]);
-      }
-    }
-  }
-
   void worker_main(int id) {
     std::size_t seen_generation = 0;
     for (;;) {
@@ -81,29 +53,12 @@ struct ThreadPool::Impl {
         if (stop) return;
         seen_generation = generation;
       }
-      if (queues != nullptr) {
-        drain_sharded(id);
-      } else {
-        drain_range(id);
-      }
+      drain_range(id);
       {
         std::lock_guard<std::mutex> lock(mutex);
         if (--active == 0) cv_done.notify_all();
       }
     }
-  }
-
-  /// Dispatches the prepared job state to the workers and blocks until they
-  /// all finish; rethrows the first captured exception.
-  void dispatch_and_wait() {
-    cv_work.notify_all();
-    std::unique_lock<std::mutex> lock(mutex);
-    cv_done.wait(lock, [&] { return active == 0; });
-    fn = nullptr;
-    queues = nullptr;
-    num_queues = 0;
-    cursors = nullptr;
-    if (error) std::rethrow_exception(error);
   }
 };
 
@@ -144,34 +99,15 @@ void ThreadPool::parallel_for(std::size_t count,
     impl_->count = count;
     impl_->grain = grain;
     impl_->next.store(0, std::memory_order_relaxed);
-    impl_->queues = nullptr;
-    impl_->num_queues = 0;
     impl_->error = nullptr;
     impl_->active = num_workers_;
     ++impl_->generation;
   }
-  impl_->dispatch_and_wait();
-}
-
-void ThreadPool::parallel_for_sharded(
-    std::span<const std::vector<std::size_t>> queues,
-    const std::function<void(int, std::size_t)>& fn) {
-  if (queues.empty()) return;
-  std::size_t total = 0;
-  for (const auto& q : queues) total += q.size();
-  if (total == 0) return;
-  auto cursors = std::make_unique<Impl::ShardCursor[]>(queues.size());
-  {
-    std::unique_lock<std::mutex> lock(impl_->mutex);
-    impl_->fn = &fn;
-    impl_->queues = queues.data();
-    impl_->num_queues = queues.size();
-    impl_->cursors = cursors.get();
-    impl_->error = nullptr;
-    impl_->active = num_workers_;
-    ++impl_->generation;
-  }
-  impl_->dispatch_and_wait();
+  impl_->cv_work.notify_all();
+  std::unique_lock<std::mutex> lock(impl_->mutex);
+  impl_->cv_done.wait(lock, [&] { return impl_->active == 0; });
+  impl_->fn = nullptr;
+  if (impl_->error) std::rethrow_exception(impl_->error);
 }
 
 }  // namespace moheco

@@ -1,15 +1,10 @@
 // Worker pool for Monte-Carlo batch evaluation.
 //
-// Two entry points share one set of persistent workers:
-//   - parallel_for(count, fn): a homogeneous index range.  Workers claim
-//     contiguous chunks of indices from an atomic counter (not one index at
-//     a time), so cheap per-item work does not serialize on the counter.
-//   - parallel_for_sharded(queues, fn): a sharded job set with stealing.
-//     Each worker first drains its own queue front-to-back, then steals
-//     from the other queues round-robin.  This is the substrate for the
-//     EvalScheduler's sticky candidate->worker affinity: items routed to a
-//     worker's own queue run on that worker unless load imbalance forces a
-//     steal.
+// One entry point, parallel_for(count, fn), drains an index range on a set
+// of persistent workers.  Workers claim contiguous chunks of `grain`
+// indices from one shared atomic counter (not one index at a time), so
+// cheap per-item work does not serialize on the counter; whichever worker
+// is free takes the next chunk.
 //
 // Each worker passes its stable worker id to the callback so callers can
 // keep per-worker state (e.g. the EvalScheduler's per-worker session
@@ -19,8 +14,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <span>
-#include <vector>
 
 namespace moheco {
 
@@ -43,16 +36,6 @@ class ThreadPool {
   void parallel_for(std::size_t count,
                     const std::function<void(int, std::size_t)>& fn,
                     std::size_t grain = 0);
-
-  /// Sharded claiming with work stealing: `queues[s]` lists the item ids
-  /// owned by shard s.  Worker w drains queues[w % queues.size()] in order
-  /// first, then steals from the remaining queues round-robin (one item per
-  /// claim, so a long stolen queue still spreads).  Runs fn(worker_id, item)
-  /// exactly once per queued item; blocks until all items finish.  Item ids
-  /// are caller-defined (duplicates across queues are run once per listing).
-  /// Exceptions thrown by fn are rethrown (first one wins).
-  void parallel_for_sharded(std::span<const std::vector<std::size_t>> queues,
-                            const std::function<void(int, std::size_t)>& fn);
 
  private:
   struct Impl;

@@ -25,6 +25,52 @@ std::string sanitize(const std::string& key) {
   return out;
 }
 
+// Row names are the first whitespace-separated field of a row, so bytes that
+// would split or hide a row (whitespace, control bytes, a leading '#') are
+// percent-escaped, and so is '%' itself.  Names without such bytes are
+// written verbatim, which keeps older cache files readable.
+std::string escape_name(const std::string& name) {
+  static const char kHex[] = "0123456789ABCDEF";
+  std::string out;
+  out.reserve(name.size());
+  for (char c : name) {
+    const auto u = static_cast<unsigned char>(c);
+    if (u <= 0x20 || u == 0x7F || c == '%' || c == '#') {
+      out.push_back('%');
+      out.push_back(kHex[u >> 4]);
+      out.push_back(kHex[u & 0xF]);
+    } else {
+      out.push_back(c);
+    }
+  }
+  return out;
+}
+
+/// Inverse of escape_name(); nullopt on a malformed escape.
+std::optional<std::string> unescape_name(const std::string& field) {
+  const auto hex = [](char c) -> int {
+    if (c >= '0' && c <= '9') return c - '0';
+    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+    return -1;
+  };
+  std::string out;
+  out.reserve(field.size());
+  for (std::size_t i = 0; i < field.size(); ++i) {
+    if (field[i] != '%') {
+      out.push_back(field[i]);
+      continue;
+    }
+    if (i + 2 >= field.size()) return std::nullopt;
+    const int hi = hex(field[i + 1]);
+    const int lo = hex(field[i + 2]);
+    if (hi < 0 || lo < 0) return std::nullopt;
+    out.push_back(static_cast<char>(hi * 16 + lo));
+    i += 2;
+  }
+  return out;
+}
+
 }  // namespace
 
 ResultsCache::ResultsCache(std::string path) : path_(std::move(path)) {}
@@ -54,23 +100,24 @@ std::optional<ResultMap> ResultsCache::load(const std::string& key) const {
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
     std::istringstream iss(line);
-    std::string name;
-    if (!(iss >> name)) return std::nullopt;
+    std::string field;
+    if (!(iss >> field)) return std::nullopt;
+    const std::optional<std::string> name = unescape_name(field);
     std::vector<double> values;
     double v = 0.0;
     while (iss >> v) values.push_back(v);
-    // A row with unparseable bytes after its values means the file is
-    // truncated or corrupted (crash mid-write predating the atomic-rename
-    // discipline, disk damage, somebody's stray edit).  A cache must never
-    // serve a half-read row: warn and start empty -- everything it held is
-    // recomputable by definition.
-    if (!iss.eof()) {
+    // A malformed name or unparseable bytes after the values mean the file
+    // is truncated or corrupted (crash mid-write predating the
+    // atomic-rename discipline, disk damage, somebody's stray edit).  A
+    // cache must never serve a half-read row: warn and start empty --
+    // everything it held is recomputable by definition.
+    if (!name || !iss.eof()) {
       log_warn("results cache: ignoring corrupted file ", file_for(key),
-               " (unparseable values for '", name, "'); starting empty");
+               " (unparseable row '", field, "'); starting empty");
       misses.add(1);
       return std::nullopt;
     }
-    results[name] = std::move(values);
+    results[*name] = std::move(values);
   }
   if (results.empty()) {
     misses.add(1);
@@ -102,7 +149,7 @@ void ResultsCache::store(const std::string& key, const ResultMap& results) const
     out.precision(17);
     out << "# moheco results cache, key=" << key << "\n";
     for (const auto& [name, values] : results) {
-      out << name;
+      out << escape_name(name);
       for (double v : values) out << ' ' << v;
       out << '\n';
     }

@@ -90,9 +90,7 @@ void save_checkpoint(const std::string& dir, const Checkpoint& state) {
         << state.sims.ocba << ' ' << state.sims.stage2 << ' '
         << state.sims.other << '\n';
     out << "sched " << state.sched.session_hits << ' '
-        << state.sched.cold_opens << ' ' << state.sched.warm_opens << ' '
-        << state.sched.affinity_hits << ' ' << state.sched.steals << ' '
-        << state.sched.migrations << '\n';
+        << state.sched.cold_opens << ' ' << state.sched.warm_opens << '\n';
     out << "fails " << state.fails.quarantine_open << ' '
         << state.fails.quarantine_eval << ' ' << state.fails.quarantine_screen
         << '\n';
@@ -215,9 +213,6 @@ std::optional<Checkpoint> load_checkpoint(const std::string& dir) {
     ck.sched.session_hits = field<long long>(iss, path, "sched");
     ck.sched.cold_opens = field<long long>(iss, path, "sched");
     ck.sched.warm_opens = field<long long>(iss, path, "sched");
-    ck.sched.affinity_hits = field<long long>(iss, path, "sched");
-    ck.sched.steals = field<long long>(iss, path, "sched");
-    ck.sched.migrations = field<long long>(iss, path, "sched");
   }
   {
     auto iss = expect(in, path, "fails");

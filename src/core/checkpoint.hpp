@@ -35,7 +35,9 @@ namespace moheco::core {
 /// On-disk checkpoint format version; bumped on layout changes.  A loader
 /// seeing an unknown version throws instead of guessing (forward
 /// compatibility is "re-run from scratch", never silent misparse).
-inline constexpr int kCheckpointVersion = 1;
+/// Version 2 dropped the scheduler's affinity-hit, steal and migration
+/// counts from the `sched` line.
+inline constexpr int kCheckpointVersion = 2;
 
 struct Checkpoint {
   // --- identity: validated against the resuming run's options ---

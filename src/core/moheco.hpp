@@ -21,9 +21,9 @@
 // Scheduling: the loop is pipelined across generations.  Stage-2 promotion
 // batches of generation g are enqueued when promotion is decided (from the
 // stage-1 tallies) but evaluated together with generation g+1's nominal
-// screens as one overlapping job set on the EvalScheduler, whose sticky
-// candidate->worker affinity and warm-start blob store keep hot candidates'
-// evaluator sessions warm across rounds and generations.  Stage-2 samples
+// screens as one overlapping job set on the EvalScheduler, whose per-worker
+// session caches and warm-start blob store keep hot candidates' evaluator
+// sessions warm across rounds and generations.  Stage-2 samples
 // land in the tallies before generation g+1's OCBA pool reads them and the
 // sample streams are fixed at enqueue time, so the overlap never changes a
 // tally.  See src/mc/eval_scheduler.hpp.
@@ -132,7 +132,7 @@ struct MohecoResult {
   /// stage-2 / other), for the ablation benches' budget accounting.
   mc::SimBreakdown sim_breakdown;
   /// Warm-path scheduler events of the run (session cache hits, cold/warm
-  /// opens, affinity hits, steals, migrations).
+  /// opens).
   mc::SchedBreakdown sched_breakdown;
   /// Candidates quarantined by the fault-containment layer, split by where
   /// the failure surfaced (session open / estimation / screen).  All zero

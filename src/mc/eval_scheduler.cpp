@@ -104,7 +104,7 @@ ResultMap EvalScheduler::checkpoint_blobs() {
   std::lock_guard<std::mutex> maintenance(maintenance_mutex_);
   // Park every live session, then drop the worker caches entirely: a
   // resumed run starts with cold caches, so the checkpointed run must
-  // continue from cold caches too for the eviction/affinity decisions (and
+  // continue from cold caches too for the eviction decisions (and
   // thus the sched event counts) to match from here on.
   for (WorkerCache& cache : caches_) {
     for (CacheEntry& entry : cache.entries) {
@@ -116,7 +116,6 @@ ResultMap EvalScheduler::checkpoint_blobs() {
     cache.entries.clear();
     cache.tick = 0;
   }
-  preferred_.clear();
   std::lock_guard<std::mutex> lock(blob_mutex_);
   ResultMap out;
   for (const auto& [hash, entry] : blobs_) {
@@ -282,27 +281,9 @@ void EvalScheduler::discard_pending() {
   retained_.clear();
 }
 
-int EvalScheduler::preferred_worker(const CandidateYield& tally,
-                                    std::vector<long long>& load,
-                                    long long weight) {
-  // Stale-hint backstop for very long-lived schedulers: hints only affect
-  // placement cost, so dropping them is always safe.
-  if (preferred_.size() > (1u << 20)) preferred_.clear();
-  auto [it, inserted] = preferred_.try_emplace(tally.id(), 0);
-  if (inserted) {
-    // New candidate: greedy least-loaded assignment (lowest worker id wins
-    // ties), so the first flush stays balanced and later flushes stay put.
-    int best = 0;
-    for (int w = 1; w < static_cast<int>(load.size()); ++w) {
-      if (load[static_cast<std::size_t>(w)] <
-          load[static_cast<std::size_t>(best)]) {
-        best = w;
-      }
-    }
-    it->second = best;
-  }
-  load[static_cast<std::size_t>(it->second)] += weight;
-  return it->second;
+std::size_t EvalScheduler::chunk_for(std::size_t total) const {
+  return std::clamp<std::size_t>(
+      total / (4 * static_cast<std::size_t>(pool_->num_workers())), 1, 64);
 }
 
 void EvalScheduler::flush(SimCounter& sims, SimPhase phase) {
@@ -324,35 +305,19 @@ void EvalScheduler::flush(SimCounter& sims, SimPhase phase) {
     if (!job.screen) total += job.count;
   }
 
-  std::size_t chunk = options_.chunk;
-  if (chunk == 0) {
-    chunk = std::clamp<std::size_t>(
-        static_cast<std::size_t>(total) /
-            (4 * static_cast<std::size_t>(pool_->num_workers())),
-        1, 64);
-  }
+  const std::size_t chunk = chunk_for(static_cast<std::size_t>(total));
 
-  // Sticky routing: every job goes to its candidate's preferred worker; new
-  // candidates are placed on the least-loaded queue.  The assignment itself
-  // never affects tallies, only where sessions get built.
-  std::vector<long long> load(static_cast<std::size_t>(pool_->num_workers()),
-                              0);
-  for (PendingJob& job : pending_) {
-    job.preferred = preferred_worker(*job.tally, load,
-                                     job.screen ? 1 : job.count);
-  }
-
-  // One task per (job, row range); all tasks of a round drain as one pool
-  // dispatch.  Tasks of one job are contiguous, so a worker claiming
-  // neighbouring tasks stays on the same candidate's session.
+  // One task per (job, row range), in job order; all tasks of a round drain
+  // as one pool dispatch, each claimed by whichever worker is free next.
+  // Tasks of one job are contiguous, so a worker claiming neighbouring
+  // tasks stays on the same candidate's session.
   struct Task {
     std::size_t job;
     std::size_t begin;
     std::size_t end;
   };
   std::vector<Task> tasks;
-  tasks.reserve(pending_.size() +
-                static_cast<std::size_t>(total) / std::max<std::size_t>(chunk, 1));
+  tasks.reserve(pending_.size() + static_cast<std::size_t>(total) / chunk);
   for (std::size_t j = 0; j < pending_.size(); ++j) {
     if (pending_[j].screen) {
       tasks.push_back({j, 0, 1});
@@ -371,7 +336,7 @@ void EvalScheduler::flush(SimCounter& sims, SimPhase phase) {
   // and every other job tallies exactly as if the failing one had never
   // been enqueued.  job_failure[j] holds 0 (healthy) or 1 + FailEvent.
   std::vector<long long> task_passes(tasks.size(), 0);
-  std::vector<int> task_worker(tasks.size(), -1);
+  std::vector<char> task_done(tasks.size(), 0);
   std::vector<SampleResult> screen_results(pending_.size());
   std::vector<std::atomic<int>> job_failure(pending_.size());
   const auto evaluate_task = [&](int worker, std::size_t t) {
@@ -387,25 +352,24 @@ void EvalScheduler::flush(SimCounter& sims, SimPhase phase) {
           std::memory_order_relaxed);
       return;
     }
-    task_worker[t] = worker;
     try {
       if (job.screen) {
         screen_results[task.job] = session->evaluate({});
-        return;
+      } else {
+        const std::size_t dim = job.tally->problem().noise_dim();
+        long long passes = 0;
+        for (std::size_t i = task.begin; i < task.end; ++i) {
+          if (session->evaluate({job.samples.row(i), dim}).pass) ++passes;
+        }
+        task_passes[t] = passes;
       }
-      const std::size_t dim = job.tally->problem().noise_dim();
-      long long passes = 0;
-      for (std::size_t i = task.begin; i < task.end; ++i) {
-        if (session->evaluate({job.samples.row(i), dim}).pass) ++passes;
-      }
-      task_passes[t] = passes;
+      task_done[t] = 1;
     } catch (...) {
+      // The task's partial result must not count: its job is dropped whole.
       job_failure[task.job].store(
           1 + static_cast<int>(job.screen ? FailEvent::kQuarantineScreen
                                           : FailEvent::kQuarantineEval),
           std::memory_order_relaxed);
-      // The task's partial result must not count: its job is dropped whole.
-      task_worker[t] = -1;
     }
   };
 
@@ -413,13 +377,7 @@ void EvalScheduler::flush(SimCounter& sims, SimPhase phase) {
   const long long cold_before = cold_opens_.load(std::memory_order_relaxed);
   const long long warm_before = warm_opens_.load(std::memory_order_relaxed);
   try {
-    std::vector<std::vector<std::size_t>> queues(
-        static_cast<std::size_t>(pool_->num_workers()));
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      queues[static_cast<std::size_t>(pending_[tasks[t].job].preferred)]
-          .push_back(t);
-    }
-    pool_->parallel_for_sharded(queues, evaluate_task);
+    pool_->parallel_for(tasks.size(), evaluate_task, /*grain=*/1);
   } catch (...) {
     // Pool-infrastructure failure (evaluation errors are contained per job
     // above): drop the whole job set untallied, keep the scheduler usable.
@@ -427,42 +385,6 @@ void EvalScheduler::flush(SimCounter& sims, SimPhase phase) {
     retained_.clear();
     throw;
   }
-
-  // Affinity accounting + migration: if every task of a job ran on one
-  // worker that is not the preferred one, re-point the candidate there so
-  // the next flush finds the session already warm.  Quarantined jobs are
-  // excluded entirely -- their skipped tasks never ran anywhere, so they
-  // must not count as hits or steals, and a failed job must not migrate
-  // its candidate.
-  long long flush_hits = 0, flush_steals = 0, flush_migrations = 0;
-  {
-    std::size_t t = 0;
-    for (std::size_t j = 0; j < pending_.size(); ++j) {
-      const bool quarantined =
-          job_failure[j].load(std::memory_order_relaxed) != 0;
-      int uniform_worker = -2;  // -2: unset, -1: mixed
-      for (; t < tasks.size() && tasks[t].job == j; ++t) {
-        if (quarantined || task_worker[t] < 0) continue;
-        if (task_worker[t] == pending_[j].preferred) {
-          ++flush_hits;
-        } else {
-          ++flush_steals;
-        }
-        if (uniform_worker == -2) {
-          uniform_worker = task_worker[t];
-        } else if (uniform_worker != task_worker[t]) {
-          uniform_worker = -1;
-        }
-      }
-      if (uniform_worker >= 0 && uniform_worker != pending_[j].preferred) {
-        preferred_[pending_[j].tally->id()] = uniform_worker;
-        ++flush_migrations;
-      }
-    }
-  }
-  affinity_hits_.fetch_add(flush_hits, std::memory_order_relaxed);
-  steals_.fetch_add(flush_steals, std::memory_order_relaxed);
-  migrations_.fetch_add(flush_migrations, std::memory_order_relaxed);
 
   // Tally updates in job order: bit-identical no matter how the tasks were
   // scheduled.  Screens count under kScreen via record_nominal; batches
@@ -479,7 +401,7 @@ void EvalScheduler::flush(SimCounter& sims, SimPhase phase) {
         // the failure still count as spent simulation budget.
         long long done = 0;
         for (; t < tasks.size() && tasks[t].job == j; ++t) {
-          if (!job.screen && task_worker[t] >= 0) {
+          if (!job.screen && task_done[t] != 0) {
             done += static_cast<long long>(tasks[t].end - tasks[t].begin);
           }
         }
@@ -521,9 +443,6 @@ void EvalScheduler::flush(SimCounter& sims, SimPhase phase) {
   sims.add_event(SchedEvent::kSessionHit, flush_session_hits);
   sims.add_event(SchedEvent::kSessionOpenCold, flush_cold);
   sims.add_event(SchedEvent::kSessionOpenWarm, flush_warm);
-  sims.add_event(SchedEvent::kAffinityHit, flush_hits);
-  sims.add_event(SchedEvent::kSteal, flush_steals);
-  sims.add_event(SchedEvent::kMigration, flush_migrations);
 
   // Process-global registry totals over the same deltas SimCounter just
   // recorded (SimCounter stays the per-run view; see docs/observability.md).
@@ -532,17 +451,10 @@ void EvalScheduler::flush(SimCounter& sims, SimPhase phase) {
         obs::registry().counter("sched.session_hits");
     static obs::Counter& c_cold = obs::registry().counter("sched.cold_opens");
     static obs::Counter& c_warm = obs::registry().counter("sched.warm_opens");
-    static obs::Counter& c_aff =
-        obs::registry().counter("sched.affinity_hits");
-    static obs::Counter& c_steals = obs::registry().counter("sched.steals");
-    static obs::Counter& c_migr = obs::registry().counter("sched.migrations");
     static obs::Counter& c_flushes = obs::registry().counter("sched.flushes");
     c_session_hits.add(static_cast<std::uint64_t>(flush_session_hits));
     c_cold.add(static_cast<std::uint64_t>(flush_cold));
     c_warm.add(static_cast<std::uint64_t>(flush_warm));
-    c_aff.add(static_cast<std::uint64_t>(flush_hits));
-    c_steals.add(static_cast<std::uint64_t>(flush_steals));
-    c_migr.add(static_cast<std::uint64_t>(flush_migrations));
     c_flushes.add(1);
   }
   pending_.clear();
@@ -571,11 +483,7 @@ void EvalScheduler::for_each(
           "EvalScheduler::for_each: flush pending jobs first");
   if (rows == 0) return;
   std::lock_guard<std::mutex> maintenance(maintenance_mutex_);
-  std::size_t chunk = options_.chunk;
-  if (chunk == 0) {
-    chunk = std::clamp<std::size_t>(
-        rows / (4 * static_cast<std::size_t>(pool_->num_workers())), 1, 64);
-  }
+  const std::size_t chunk = chunk_for(rows);
   const std::size_t num_chunks = (rows + chunk - 1) / chunk;
   pool_->parallel_for(
       num_chunks,

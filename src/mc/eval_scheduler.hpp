@@ -8,22 +8,21 @@
 // both and keeps the evaluation pipeline warm end-to-end:
 //
 //   - Batching: callers enqueue() all candidates' sample ranges for a round
-//     and flush() once.  The whole round becomes one chunked job set drained
-//     by the pool with no per-candidate barriers.  Nominal screens are jobs
-//     too (enqueue_screen), so a deferred stage-2 batch of generation g and
-//     the screens of generation g+1 can run as ONE overlapping job set.
+//     and flush() once.  The whole round becomes one job-ordered task list
+//     (chunks of at most 64 samples) drained by ThreadPool::parallel_for
+//     with no per-candidate barriers; whichever worker is free claims the
+//     next task.  Nominal screens are jobs too (enqueue_screen), so a
+//     deferred stage-2 batch of generation g and the screens of generation
+//     g+1 can run as ONE overlapping job set.
 //   - Session caching: sessions live in per-worker LRU caches keyed by
-//     candidate id.  Peak live sessions are bounded by
+//     candidate id, with a fallback that adopts a cached session of the
+//     same (problem, x) under a new id.  Peak live sessions are bounded by
 //     sessions_per_worker x workers no matter how many candidates are in
 //     flight, and hot candidates keep their sessions warm across rounds and
-//     generations.
-//   - Sticky affinity: every candidate gets a preferred worker (assigned
-//     greedily by queued load on first sight, re-pointed when a candidate
-//     migrates); a flush routes each candidate's chunks to its preferred
-//     worker's queue and workers steal only after draining their own, so a
-//     hot candidate's session lives on ONE worker instead of being rebuilt
-//     on several.  Affinity hit/steal/migration counts are exposed here and
-//     recorded into the flush's SimCounter.
+//     generations.  There is no worker affinity: a candidate's tasks run
+//     wherever a worker is free, because on the paper's Example 1 workload
+//     pinning candidates to workers changed neither session opens nor wall
+//     time.
 //   - Warm-start handoff: when a session is evicted, its warm_start_blob()
 //     (see src/mc/yield_problem.hpp) is parked in a scheduler-wide LRU blob
 //     store keyed by a hash of the design vector; a later cache miss for
@@ -34,8 +33,8 @@
 // (batch index and size are fixed at enqueue time), every sample of a batch
 // is evaluated exactly once by one Session::evaluate() call, and pass
 // counts are integers summed in job order -- so yield tallies are
-// bit-identical across worker counts, chunk sizes, cache capacities, warm
-// starts on/off, and flush boundaries (one flush per round or several
+// bit-identical across worker counts, task placement, cache capacities,
+// warm starts on/off, and flush boundaries (one flush per round or several
 // rounds merged into one job set).  This relies on the YieldProblem
 // session-cache contract (see src/mc/yield_problem.hpp): sample results are
 // pure functions of (x, xi).
@@ -66,10 +65,6 @@ struct SchedulerOptions {
   /// full cache evicts the least-recently-used session before opening the
   /// replacement.
   int sessions_per_worker = 8;
-  /// Samples per scheduling chunk; 0 picks one automatically (roughly four
-  /// chunks per worker per flush, capped at 64) so a single large stage-2
-  /// batch still spreads across the whole pool.
-  std::size_t chunk = 0;
   /// Capacity of the warm-start blob store (evicted sessions' serialized
   /// state, keyed by design-vector hash).  0 disables warm starts.
   int warm_start_blobs = 256;
@@ -115,14 +110,14 @@ class EvalScheduler {
   /// Evaluates every queued job as one pool-wide chunked job set, updates
   /// the tallies, and counts batch samples under their enqueue phase (jobs
   /// enqueued with kOther fall back to `phase`); screens always count under
-  /// kScreen.  Scheduler events (cache hits, cold/warm opens, affinity
-  /// hits, steals, migrations) incurred by the flush are added to `sims` as
-  /// well.  A throwing session open or evaluation is contained to its own
-  /// job: the candidate is marked failed with a FailEvent reason code (and
-  /// counted in `sims`), its job is dropped untallied, and every other job
-  /// tallies bit-identically to a flush that never contained the failing
-  /// one.  Only pool-infrastructure errors still propagate (the whole job
-  /// set is then dropped and the scheduler stays usable).
+  /// kScreen.  Scheduler events (cache hits, cold/warm opens) incurred by
+  /// the flush are added to `sims` as well.  A throwing session open or
+  /// evaluation is contained to its own job: the candidate is marked failed
+  /// with a FailEvent reason code (and counted in `sims`), its job is
+  /// dropped untallied, and every other job tallies bit-identically to a
+  /// flush that never contained the failing one.  Only pool-infrastructure
+  /// errors still propagate (the whole job set is then dropped and the
+  /// scheduler stays usable).
   void flush(SimCounter& sims, SimPhase phase = SimPhase::kOther);
 
   /// Drops every queued job untallied (their stream positions stay
@@ -177,13 +172,13 @@ class EvalScheduler {
   std::size_t import_blobs(const YieldProblem& problem, const ResultMap& blobs);
 
   /// Checkpoint-mode normalization (no pending jobs allowed): parks every
-  /// live session into the blob store, clears the worker caches and the
-  /// sticky-affinity table, and renumbers the blob LRU ticks in sorted
-  /// blob-key order starting from a reset tick counter.  Afterwards the
+  /// live session into the blob store, clears the worker caches, and
+  /// renumbers the blob LRU ticks in sorted blob-key order starting from a
+  /// reset tick counter.  Afterwards the
   /// scheduler's observable state is exactly what a fresh scheduler gets
   /// from import_blobs() of this store's snapshot -- which is what a
   /// resumed run does -- so a checkpointed run and its resume see the same
-  /// cache/eviction/affinity decisions from this boundary on.  Returns the
+  /// cache/eviction decisions from this boundary on.  Returns the
   /// export_blobs()-format snapshot for persisting.
   ResultMap checkpoint_blobs();
 
@@ -217,18 +212,6 @@ class EvalScheduler {
   long long warm_opens() const {
     return warm_opens_.load(std::memory_order_relaxed);
   }
-  /// Tasks executed on their candidate's preferred worker / elsewhere.
-  long long affinity_hits() const {
-    return affinity_hits_.load(std::memory_order_relaxed);
-  }
-  long long steals() const {
-    return steals_.load(std::memory_order_relaxed);
-  }
-  /// Candidates whose preferred worker was reassigned after their whole
-  /// job ran elsewhere.
-  long long migrations() const {
-    return migrations_.load(std::memory_order_relaxed);
-  }
 
  private:
   struct CacheEntry {
@@ -255,7 +238,6 @@ class EvalScheduler {
     long long count = 0;
     bool screen = false;
     SimPhase phase = SimPhase::kOther;
-    int preferred = 0;  ///< filled in by flush()
   };
   struct BlobEntry {
     /// Problem the blob's session belonged to: like the session-adoption
@@ -271,17 +253,16 @@ class EvalScheduler {
   /// Saves an evicted session's warm-start blob into the LRU blob store.
   void park_blob(std::uint64_t x_hash, const YieldProblem* problem,
                  const YieldProblem::Session& session);
-  /// Preferred worker for `tally`, assigning new candidates to the least
-  /// loaded queue (`load` is per-worker queued samples for this flush).
-  int preferred_worker(const CandidateYield& tally,
-                       std::vector<long long>& load, long long weight);
+  /// Samples per task for a job set of `total` samples: about four tasks
+  /// per worker, clamped to [1, 64], so one large stage-2 batch still
+  /// spreads across the whole pool.
+  std::size_t chunk_for(std::size_t total) const;
 
   ThreadPool* pool_;
   SchedulerOptions options_;
   std::vector<WorkerCache> caches_;
   std::vector<PendingJob> pending_;
   std::vector<std::shared_ptr<CandidateYield>> retained_;
-  std::unordered_map<std::uint64_t, int> preferred_;
 
   /// Serializes whole job sets (flush, for_each) against blob-store
   /// maintenance (export/import/forget) from other threads.  Always
@@ -296,9 +277,6 @@ class EvalScheduler {
   std::atomic<long long> cold_opens_{0};
   std::atomic<long long> warm_opens_{0};
   std::atomic<long long> session_hits_{0};
-  std::atomic<long long> affinity_hits_{0};
-  std::atomic<long long> steals_{0};
-  std::atomic<long long> migrations_{0};
 };
 
 /// FNV-1a hash of a design vector's bytes; the blob-store key.  Collisions

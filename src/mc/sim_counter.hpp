@@ -24,17 +24,14 @@ inline constexpr std::size_t kNumSimPhases = 5;
 
 /// Warm-path scheduler events, accumulated alongside the sample counts so
 /// the ablation benches can report how the evaluation pipeline behaved
-/// (EvalScheduler records one entry per cache lookup / task placement).
+/// (EvalScheduler records one entry per session-cache lookup).
 enum class SchedEvent : int {
   kSessionHit = 0,   ///< session-cache hits (no construction)
   kSessionOpenCold,  ///< sessions constructed from scratch (full nominal)
   kSessionOpenWarm,  ///< sessions revived from a warm-start blob
-  kAffinityHit,      ///< tasks executed on their candidate's preferred worker
-  kSteal,            ///< tasks executed on another worker (load balancing)
-  kMigration,        ///< candidates whose preferred worker was reassigned
 };
 
-inline constexpr std::size_t kNumSchedEvents = 6;
+inline constexpr std::size_t kNumSchedEvents = 3;
 
 /// Fault-containment events: why a candidate was quarantined during a
 /// flush.  Each quarantine marks exactly one candidate failed with one of
@@ -79,9 +76,6 @@ inline const char* to_string(SchedEvent event) {
     case SchedEvent::kSessionHit: return "session_hits";
     case SchedEvent::kSessionOpenCold: return "cold_opens";
     case SchedEvent::kSessionOpenWarm: return "warm_opens";
-    case SchedEvent::kAffinityHit: return "affinity_hits";
-    case SchedEvent::kSteal: return "steals";
-    case SchedEvent::kMigration: return "migrations";
   }
   return "?";
 }
@@ -91,9 +85,6 @@ struct SchedBreakdown {
   long long session_hits = 0;
   long long cold_opens = 0;
   long long warm_opens = 0;
-  long long affinity_hits = 0;
-  long long steals = 0;
-  long long migrations = 0;
 
   long long session_opens() const { return cold_opens + warm_opens; }
 
@@ -101,9 +92,6 @@ struct SchedBreakdown {
     session_hits += rhs.session_hits;
     cold_opens += rhs.cold_opens;
     warm_opens += rhs.warm_opens;
-    affinity_hits += rhs.affinity_hits;
-    steals += rhs.steals;
-    migrations += rhs.migrations;
     return *this;
   }
 };
@@ -190,9 +178,6 @@ class SimCounter {
     b.session_hits = event_total(SchedEvent::kSessionHit);
     b.cold_opens = event_total(SchedEvent::kSessionOpenCold);
     b.warm_opens = event_total(SchedEvent::kSessionOpenWarm);
-    b.affinity_hits = event_total(SchedEvent::kAffinityHit);
-    b.steals = event_total(SchedEvent::kSteal);
-    b.migrations = event_total(SchedEvent::kMigration);
     return b;
   }
 
@@ -229,11 +214,6 @@ class SimCounter {
         sched.cold_opens);
     set(events_[static_cast<std::size_t>(SchedEvent::kSessionOpenWarm)],
         sched.warm_opens);
-    set(events_[static_cast<std::size_t>(SchedEvent::kAffinityHit)],
-        sched.affinity_hits);
-    set(events_[static_cast<std::size_t>(SchedEvent::kSteal)], sched.steals);
-    set(events_[static_cast<std::size_t>(SchedEvent::kMigration)],
-        sched.migrations);
     set(fails_[static_cast<std::size_t>(FailEvent::kQuarantineOpen)],
         fail.quarantine_open);
     set(fails_[static_cast<std::size_t>(FailEvent::kQuarantineEval)],

@@ -133,9 +133,6 @@ std::string json_sched_breakdown(const mc::SchedBreakdown& b) {
   obj.add_int("session_hits", b.session_hits);
   obj.add_int("cold_opens", b.cold_opens);
   obj.add_int("warm_opens", b.warm_opens);
-  obj.add_int("affinity_hits", b.affinity_hits);
-  obj.add_int("steals", b.steals);
-  obj.add_int("migrations", b.migrations);
   return obj.str();
 }
 

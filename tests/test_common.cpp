@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "src/common/error.hpp"
@@ -98,6 +99,33 @@ TEST(ResultsCache, StoreIsAtomicAndLeavesNoTempFiles) {
     EXPECT_EQ(entry.path().extension(), ".txt") << entry.path();
   }
   EXPECT_EQ(files, 1u);
+}
+
+TEST(ResultsCache, RowNamesWithSpacesRoundTrip) {
+  // Bench studies name rows after their methods, spaces included.
+  const std::string dir = "/tmp/moheco_cache_test_names";
+  std::filesystem::remove_all(dir);
+  ResultsCache cache(dir);
+  ResultMap results;
+  results["dev:300 simulations (AS+LHS) 0"] = {0.01, 0.02};
+  results["#leading hash"] = {1.0};
+  results["tab\tand\nnewline"] = {2.0};
+  results["100% escaped %41"] = {3.0};
+  results["plain"] = {4.0, 5.0};
+  cache.store("names", results);
+  const auto loaded = cache.load("names");
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(*loaded, results);
+
+  // Names without special bytes are written verbatim, so files written
+  // before names were escaped still load; a malformed escape is corruption.
+  std::ifstream in(dir + "/names.txt");
+  std::stringstream text;
+  text << in.rdbuf();
+  EXPECT_NE(text.str().find("\nplain 4 5\n"), std::string::npos);
+  std::ofstream(dir + "/bad.txt") << "dev%2 1 2\n";
+  EXPECT_FALSE(cache.load("bad").has_value());
+  std::filesystem::remove_all(dir);
 }
 
 // --- JsonValue raw-slice + member-order capture ---------------------------

@@ -346,7 +346,9 @@ TEST(Checkpoint, SaveLoadRoundTripsEveryField) {
   ck.last_local_search_x = {0.1, -0.2, 1e-300};
   ck.sims.screen = 10;
   ck.sims.stage2 = 20;
+  ck.sched.session_hits = 5;
   ck.sched.cold_opens = 4;
+  ck.sched.warm_opens = 6;
   ck.fails.quarantine_open = 1;
   core::Checkpoint::MemberState m;
   m.x = {0.25, -0.5, 0.75};
@@ -390,7 +392,9 @@ TEST(Checkpoint, SaveLoadRoundTripsEveryField) {
   EXPECT_EQ(loaded->last_local_search_x, ck.last_local_search_x);
   EXPECT_EQ(loaded->sims.screen, ck.sims.screen);
   EXPECT_EQ(loaded->sims.stage2, ck.sims.stage2);
+  EXPECT_EQ(loaded->sched.session_hits, ck.sched.session_hits);
   EXPECT_EQ(loaded->sched.cold_opens, ck.sched.cold_opens);
+  EXPECT_EQ(loaded->sched.warm_opens, ck.sched.warm_opens);
   EXPECT_EQ(loaded->fails.quarantine_open, ck.fails.quarantine_open);
   ASSERT_EQ(loaded->members.size(), 2u);
   EXPECT_EQ(loaded->members[0].x, m.x);
@@ -435,6 +439,45 @@ TEST(Checkpoint, GarbageAndTruncationThrowInsteadOfMisparse) {
     out << text.substr(0, text.size() / 2);
   }
   EXPECT_THROW(core::load_checkpoint(dir2.path()), Error);
+}
+
+TEST(Checkpoint, RejectsAVersionOneFile) {
+  // Version 1 carried three more scheduler counts on its `sched` line
+  // (affinity hits, steals, migrations).  A loader must refuse such a file
+  // by its version instead of misreading the line.
+  TempDir dir;
+  core::Checkpoint ck;
+  ck.dim = 1;
+  ck.population = 1;
+  ck.members.assign(1, core::Checkpoint::MemberState{});
+  ck.members[0].x = {0.5};
+  core::save_checkpoint(dir.path(), ck);
+  std::string text;
+  {
+    std::ifstream in(dir.file("checkpoint.txt"));
+    std::stringstream whole;
+    whole << in.rdbuf();
+    text = whole.str();
+  }
+  const std::string header =
+      "moheco-ckpt " + std::to_string(core::kCheckpointVersion) + "\n";
+  ASSERT_EQ(text.rfind(header, 0), 0u);
+  const std::size_t sched_end = text.find('\n', text.find("\nsched "));
+  ASSERT_NE(sched_end, std::string::npos);
+  text.insert(sched_end, " 0 0 0");
+  text.replace(0, header.size(), "moheco-ckpt 1\n");
+  {
+    std::ofstream out(dir.file("checkpoint.txt"), std::ios::trunc);
+    out << text;
+  }
+  try {
+    core::load_checkpoint(dir.path());
+    FAIL() << "a version-1 checkpoint loaded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version 1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Checkpoint, ResumeReproducesTheUninterruptedRunBitForBit) {

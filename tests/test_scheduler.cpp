@@ -1,7 +1,6 @@
 // Generation-wide EvalScheduler: scheduling determinism, equivalence with
-// per-candidate refinement, session-cache bounds, affinity accounting,
-// warm-start blob round-trips, the pipelined optimizer loop, and the
-// ThreadPool entry points.
+// per-candidate refinement, session-cache bounds and accounting, warm-start
+// blob round-trips, the pipelined optimizer loop, and the ThreadPool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,59 +32,6 @@ TEST(Parallel, ChunkedClaimingRunsEveryIndexOnce) {
         1000, [&](int, std::size_t i) { ++hits[i]; }, grain);
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   }
-}
-
-TEST(Parallel, ShardedRunsEveryItemOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(500);
-  // Unbalanced queues (including an empty one): stealing must still cover
-  // every item exactly once.
-  std::vector<std::vector<std::size_t>> queues(4);
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    if (i < 400) {
-      queues[0].push_back(i);  // one overloaded shard
-    } else {
-      queues[2].push_back(i);
-    }
-  }
-  pool.parallel_for_sharded(queues, [&](int worker, std::size_t i) {
-    EXPECT_GE(worker, 0);
-    EXPECT_LT(worker, pool.num_workers());
-    ++hits[i];
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(Parallel, ShardedHandlesMoreQueuesThanWorkersAndEmptySets) {
-  ThreadPool pool(2);
-  std::vector<std::atomic<int>> hits(60);
-  std::vector<std::vector<std::size_t>> queues(7);
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    queues[i % queues.size()].push_back(i);
-  }
-  pool.parallel_for_sharded(queues, [&](int, std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  // Degenerate inputs are no-ops.
-  pool.parallel_for_sharded({}, [&](int, std::size_t) { FAIL(); });
-  std::vector<std::vector<std::size_t>> empty(3);
-  pool.parallel_for_sharded(empty, [&](int, std::size_t) { FAIL(); });
-}
-
-TEST(Parallel, ShardedPropagatesExceptions) {
-  ThreadPool pool(2);
-  std::vector<std::vector<std::size_t>> queues(2);
-  for (std::size_t i = 0; i < 20; ++i) queues[i % 2].push_back(i);
-  EXPECT_THROW(pool.parallel_for_sharded(queues,
-                                         [&](int, std::size_t i) {
-                                           if (i == 7) {
-                                             throw InvalidArgument("boom");
-                                           }
-                                         }),
-               InvalidArgument);
-  // The pool survives for later dispatches.
-  std::atomic<int> count{0};
-  pool.parallel_for(10, [&](int, std::size_t) { ++count; });
-  EXPECT_EQ(count.load(), 10);
 }
 
 // --- Session-cache instrumentation ---------------------------------------
@@ -418,28 +364,35 @@ TEST(EvalScheduler, TwoStageMatchesPerCandidatePath) {
 }
 
 TEST(EvalScheduler, ChunkSizeDoesNotAffectTallies) {
+  // A flush cuts each job into tasks of clamp(total / (4 * workers), 1, 64)
+  // samples.  Six candidates x {5, 40, 101} samples per flush on 1, 2, 4
+  // and 8 workers reach every regime: 30 samples on 4 or 8 workers give
+  // chunk 1; 240 samples on 1 worker give chunk 60, one task per job; 606
+  // samples give chunk 64, 37 or 18, several tasks per job.
   const QuadraticYieldProblem problem(2, 6, 1.0, 0.5);
-  ThreadPool pool(4);
-  TallySnapshot reference;
-  for (std::size_t chunk : {std::size_t{0}, std::size_t{1}, std::size_t{3},
-                            std::size_t{1000}}) {
-    SchedulerOptions options;
-    options.chunk = chunk;
-    EvalScheduler scheduler(pool, options);
+  std::vector<TallySnapshot> reference;
+  for (int workers : {1, 2, 4, 8}) {
+    ThreadPool pool(workers);
+    EvalScheduler scheduler(pool);
     SimCounter sims;
     auto owners = make_pool(problem, 6);
-    for (auto& c : owners) scheduler.enqueue(*c, 101, McOptions{});
-    scheduler.flush(sims);
-    const TallySnapshot s = snapshot(owners);
-    if (reference.samples.empty()) {
-      reference = s;
+    std::vector<TallySnapshot> snaps;
+    for (long long per_candidate : {5LL, 40LL, 101LL}) {
+      for (auto& c : owners) {
+        scheduler.enqueue(*c, per_candidate, McOptions{});
+      }
+      scheduler.flush(sims);
+      snaps.push_back(snapshot(owners));
+    }
+    if (reference.empty()) {
+      reference = snaps;
     } else {
-      EXPECT_EQ(s, reference) << "chunk " << chunk;
+      EXPECT_EQ(snaps, reference) << workers << " workers";
     }
   }
 }
 
-// --- Affinity accounting --------------------------------------------------
+// --- Session accounting ---------------------------------------------------
 
 inline void keep(double& value) { asm volatile("" : "+m"(value)); }
 
@@ -489,16 +442,17 @@ class SpinCountProblem final : public YieldProblem {
   mutable std::atomic<long long> opens_{0};
 };
 
-TEST(EvalScheduler, AffinityAccountingMatchesSchedBreakdown) {
+TEST(EvalScheduler, SessionAccountingMatchesSchedBreakdown) {
   const int kCandidates = 16;
   const int kRounds = 10;
-  const int kPerRound = 8;
+  // 16 x 128 = 2048 samples per flush: chunk 64 on 1 and on 3 workers, so
+  // every job is two tasks.
+  const int kPerRound = 128;
   auto run = [&](int workers) {
     SpinCountProblem problem(/*open_spin=*/20000, /*eval_spin=*/300);
     ThreadPool pool(workers);
     SchedulerOptions options;
     options.sessions_per_worker = 4;
-    options.chunk = 2;  // several tasks per candidate per flush
     options.warm_start_blobs = 0;
     EvalScheduler scheduler(pool, options);
     SimCounter sims;
@@ -514,35 +468,27 @@ TEST(EvalScheduler, AffinityAccountingMatchesSchedBreakdown) {
     }
     struct Out {
       long long opens;
-      long long affinity_hits;
-      long long steals;
-      long long migrations;
+      long long hits;
       TallySnapshot tallies;
       SchedBreakdown sched;
     };
-    return Out{problem.opens(), scheduler.affinity_hits(), scheduler.steals(),
-               scheduler.migrations(), snapshot(owners),
+    return Out{problem.opens(), scheduler.session_hits(), snapshot(owners),
                sims.sched_breakdown()};
   };
 
-  const long long tasks = 1LL * kCandidates * kRounds * (kPerRound / 2);
+  const long long tasks = 2LL * kCandidates * kRounds;
   const auto serial = run(1);
   const auto pooled = run(3);
   for (const auto* out : {&serial, &pooled}) {
-    // Every task was either an affinity hit or a steal, and the flushes'
-    // SimCounter saw exactly the events the scheduler counted.
-    EXPECT_EQ(out->affinity_hits + out->steals, tasks);
-    EXPECT_EQ(out->affinity_hits, out->sched.affinity_hits);
-    EXPECT_EQ(out->steals, out->sched.steals);
-    EXPECT_EQ(out->migrations, out->sched.migrations);
+    // Every task looks its session up once (a hit or an open), and the
+    // flushes' SimCounter saw exactly the events the scheduler counted.
+    EXPECT_EQ(out->opens + out->hits, tasks);
     EXPECT_EQ(out->opens, out->sched.cold_opens + out->sched.warm_opens);
+    EXPECT_EQ(out->hits, out->sched.session_hits);
+    EXPECT_EQ(out->sched.warm_opens, 0);  // blob store off
   }
-  // One worker owns the only queue: every task is a hit, nothing moves.
-  EXPECT_EQ(serial.affinity_hits, tasks);
-  EXPECT_EQ(serial.steals, 0);
-  EXPECT_EQ(serial.migrations, 0);
   // 16 candidates cycle through a 4-session LRU: one cold open per
-  // candidate per round, its remaining tasks hit the open session.
+  // candidate per round, its second task hits the open session.
   EXPECT_EQ(serial.opens, 1LL * kCandidates * kRounds);
   // Tallies never depend on the worker count.
   EXPECT_EQ(pooled.tallies, serial.tallies);
@@ -706,11 +652,18 @@ TEST(EvalScheduler, ExportBlobsFromAnotherThreadDuringFlush) {
           const ResultMap snap = scheduler.export_blobs();
           for (const auto& [key, blob] : snap) {
             EXPECT_EQ(blob.size(), 3u) << "torn blob under key " << key;
-            if (blob.size() == 3) EXPECT_EQ(blob[0], 1.0);
+            if (blob.size() == 3) {
+              EXPECT_EQ(blob[0], 1.0);
+            }
           }
           snapshots.fetch_add(1, std::memory_order_relaxed);
         }
       });
+      // Start handshake: the flushes can finish before a loaded host ever
+      // schedules the exporter, so wait for its first snapshot.
+      while (snapshots.load(std::memory_order_relaxed) == 0) {
+        std::this_thread::yield();
+      }
     }
     for (int round = 0; round < 20; ++round) {
       for (auto& c : owners) scheduler.enqueue(*c, 40, McOptions{});
@@ -718,7 +671,9 @@ TEST(EvalScheduler, ExportBlobsFromAnotherThreadDuringFlush) {
     }
     done.store(true);
     if (exporter.joinable()) exporter.join();
-    if (concurrent_export) EXPECT_GT(snapshots.load(), 0);
+    if (concurrent_export) {
+      EXPECT_GT(snapshots.load(), 0);
+    }
     return snapshot(owners);
   };
 
