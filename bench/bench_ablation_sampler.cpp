@@ -2,7 +2,7 @@
 // Measures the standard deviation of the yield estimator at equal sample
 // counts on a fixed example-1 design point.  All reference runs go through
 // one EvalScheduler, so repeated estimates of the same design point reuse
-// cached sessions (or revive them from the warm-start blob store).
+// cached sessions.
 #include <cstdio>
 #include <iostream>
 
@@ -67,7 +67,6 @@ int main(int argc, char** argv) {
     row_sims.other -= before.other;
     row_sched.session_hits -= sched_before.session_hits;
     row_sched.cold_opens -= sched_before.cold_opens;
-    row_sched.warm_opens -= sched_before.warm_opens;
     char row[256];
     std::snprintf(row, sizeof(row),
                   "%s{\"samples\":%lld,\"reps\":%d,\"pmc_std\":%.6f,"

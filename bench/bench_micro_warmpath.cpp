@@ -1,6 +1,5 @@
 // Micro benchmark for the warm evaluation path: the EvalScheduler's
-// per-worker session caches plus its warm-start blob store, measured with
-// the blob store on and off on identical work.
+// per-worker session caches.
 //
 // The synthetic problem charges a large session-open cost (the nominal
 // measurement stand-in) and a small per-sample cost, like the circuit
@@ -8,16 +7,18 @@
 //
 //   - eviction-heavy: candidates per worker == cache capacity at 8
 //     workers.  Tasks go to whichever worker is free, so a candidate's
-//     session can be rebuilt on several workers and the LRU caches evict;
-//     whatever gets evicted is revived from the blob store.
+//     session can be rebuilt on several workers and the LRU caches evict.
 //   - capacity-constrained: cache capacity below candidates per worker, so
-//     every worker must evict.  The warm-start blob store turns those
-//     rebuilds into cheap revivals.
+//     every worker must evict; every eviction is reopened cold.
 //
-// Reports samples/sec and session opens (cold and warm) per workload and
-// worker count.  Doubles as a correctness gate: tallies
-// must be bit-identical across worker counts, cache capacities, and blobs
-// on/off.
+// The problem revisits every candidate every round, so evicted sessions
+// are reopened over and over -- unlike MOHECO on the paper's Example 1,
+// which screens each fresh candidate once and rarely revisits one after
+// its session is evicted.
+//
+// Reports samples/sec, session opens and cache hits per workload and
+// worker count.  Doubles as a correctness gate: tallies must be
+// bit-identical across worker counts and cache capacities.
 //
 // Last, the observability-overhead gate: Monte-Carlo samples of the 5T OTA
 // through a warm scheduler session (process apply, DC Newton, AC probes)
@@ -59,9 +60,7 @@ void spin(int iterations) {
 }
 
 /// Quadratic-margin pass/fail with an expensive open() (the nominal
-/// measurement stand-in) and a cheap evaluate(), plus warm-start support:
-/// a valid blob skips the open cost, as the circuit problems skip their
-/// nominal DC+AC measurement.
+/// measurement stand-in) and a cheap evaluate().
 class WarmPathProblem final : public mc::YieldProblem {
  public:
   WarmPathProblem(int open_spin, int eval_spin, double sigma)
@@ -74,9 +73,9 @@ class WarmPathProblem final : public mc::YieldProblem {
 
   class WarmSession final : public Session {
    public:
-    WarmSession(const WarmPathProblem* parent, double x, bool from_blob)
-        : parent_(parent), x_(x), margin_(1.0 - x * x) {
-      if (!from_blob) spin(parent_->open_spin_);
+    WarmSession(const WarmPathProblem* parent, double x)
+        : parent_(parent), margin_(1.0 - x * x) {
+      spin(parent_->open_spin_);
     }
 
     mc::SampleResult evaluate(std::span<const double> xi) override {
@@ -90,28 +89,13 @@ class WarmPathProblem final : public mc::YieldProblem {
       return r;
     }
 
-    std::vector<double> warm_start_blob() const override {
-      return {1.0, x_, margin_};
-    }
-
    private:
     const WarmPathProblem* parent_;
-    double x_;
     double margin_;
   };
 
   std::unique_ptr<Session> open(std::span<const double> x) const override {
-    return std::make_unique<WarmSession>(this, x[0], /*from_blob=*/false);
-  }
-
-  std::unique_ptr<Session> open_warm(
-      std::span<const double> x,
-      std::span<const double> blob) const override {
-    // Validate like the circuit problems: version + exact design match.
-    if (blob.size() == 3 && blob[0] == 1.0 && blob[1] == x[0]) {
-      return std::make_unique<WarmSession>(this, x[0], /*from_blob=*/true);
-    }
-    return open(x);
+    return std::make_unique<WarmSession>(this, x[0]);
   }
 
  private:
@@ -129,7 +113,7 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 struct RunResult {
   double samples_per_sec = 0.0;
   long long session_opens = 0;
-  long long warm_opens = 0;
+  long long session_hits = 0;
   std::vector<long long> passes;  ///< per-candidate tally (determinism key)
 };
 
@@ -162,7 +146,7 @@ RunResult run_rounds(const mc::YieldProblem& problem, int num_candidates,
   RunResult result;
   result.samples_per_sec = static_cast<double>(sims.total()) / elapsed;
   result.session_opens = scheduler.session_opens();
-  result.warm_opens = scheduler.warm_opens();
+  result.session_hits = scheduler.session_hits();
   for (const auto& c : candidates) result.passes.push_back(c->passes());
   return result;
 }
@@ -211,7 +195,7 @@ double observability_overhead(int samples, int reps, std::uint64_t seed) {
 int main(int argc, char** argv) {
   const BenchOptions options = bench::bench_prologue(
       argc, argv,
-      "Micro: warm-path scheduler (session caches + warm-start blobs)");
+      "Micro: warm-path scheduler (session caches)");
   const bool smoke = options.scale == BenchScale::kSmoke;
   const int num_candidates = 64;
   const int open_spin = 40000;  // ~tens of us: nominal measurement stand-in
@@ -225,7 +209,7 @@ int main(int argc, char** argv) {
   const Scenario scenarios[] = {
       // candidates/worker == capacity at 8 workers.
       {"eviction-heavy (cap=8)", 8},
-      // capacity below candidates/worker: warm-start revivals carry it.
+      // capacity below candidates/worker: every worker evicts.
       {"capacity-constrained (cap=4)", 4},
   };
   const std::vector<int> worker_counts =
@@ -233,72 +217,43 @@ int main(int argc, char** argv) {
   const int per_candidate = 2;
   const int rounds = smoke ? 12 : 30;
 
-  Table table({"workload", "workers", "no-blob samp/s", "warm samp/s",
-               "opens no-blob", "opens warm", "cold opens", "warm share"});
+  Table table({"workload", "workers", "samp/s", "opens", "hits"});
   bool ok = true;
   std::string json_rows;
   std::vector<long long> reference_passes;
   for (const Scenario& scenario : scenarios) {
     for (int workers : worker_counts) {
-      mc::SchedulerOptions cold_only;
-      cold_only.sessions_per_worker = scenario.sessions_per_worker;
-      cold_only.warm_start_blobs = 0;
-      mc::SchedulerOptions warm;
-      warm.sessions_per_worker = scenario.sessions_per_worker;
+      mc::SchedulerOptions scheduler_options;
+      scheduler_options.sessions_per_worker = scenario.sessions_per_worker;
+      const RunResult run = run_rounds(problem, num_candidates, rounds,
+                                       per_candidate, workers,
+                                       scheduler_options, options.seed);
 
-      const RunResult cold = run_rounds(problem, num_candidates, rounds,
-                                        per_candidate, workers, cold_only,
-                                        options.seed);
-      const RunResult opt = run_rounds(problem, num_candidates, rounds,
-                                       per_candidate, workers, warm,
-                                       options.seed);
-
-      if (reference_passes.empty()) reference_passes = opt.passes;
-      if (cold.passes != opt.passes) {
-        std::fprintf(stderr,
-                     "FAIL %s @%d workers: tallies depend on the warm-start "
-                     "blob store\n",
-                     scenario.name, workers);
-        ok = false;
-      }
-      if (opt.passes != reference_passes) {
+      if (reference_passes.empty()) reference_passes = run.passes;
+      if (run.passes != reference_passes) {
         std::fprintf(stderr,
                      "FAIL %s @%d workers: tallies depend on worker count or "
                      "cache capacity\n",
                      scenario.name, workers);
         ok = false;
       }
-      const long long opt_cold = opt.session_opens - opt.warm_opens;
-      const double warm_share =
-          opt.session_opens > 0
-              ? static_cast<double>(opt.warm_opens) /
-                    static_cast<double>(opt.session_opens)
-              : 0.0;
-      char cs[32], ws_sps[32], ws[32];
-      std::snprintf(cs, sizeof(cs), "%.3g", cold.samples_per_sec);
-      std::snprintf(ws_sps, sizeof(ws_sps), "%.3g", opt.samples_per_sec);
-      std::snprintf(ws, sizeof(ws), "%.0f%%", 100.0 * warm_share);
-      table.add_row({scenario.name, std::to_string(workers), cs, ws_sps,
-                     std::to_string(cold.session_opens),
-                     std::to_string(opt.session_opens),
-                     std::to_string(opt_cold), ws});
+      char sps[32];
+      std::snprintf(sps, sizeof(sps), "%.3g", run.samples_per_sec);
+      table.add_row({scenario.name, std::to_string(workers), sps,
+                     std::to_string(run.session_opens),
+                     std::to_string(run.session_hits)});
       char row[512];
       std::snprintf(
           row, sizeof(row),
           "%s{\"workload\":\"%s\",\"workers\":%d,\"candidates\":%d,"
-          "\"no_blob_sps\":%.1f,\"warm_sps\":%.1f,"
-          "\"no_blob_opens\":%lld,\"warm_path_opens\":%lld,"
-          "\"cold_opens\":%lld,"
-          "\"warm_opens\":%lld}",
+          "\"samples_per_sec\":%.1f,\"opens\":%lld,\"hits\":%lld}",
           json_rows.empty() ? "" : ",", scenario.name, workers, num_candidates,
-          cold.samples_per_sec, opt.samples_per_sec, cold.session_opens,
-          opt.session_opens, opt_cold, opt.warm_opens);
+          run.samples_per_sec, run.session_opens, run.session_hits);
       json_rows += row;
     }
   }
-  table.print(std::cout,
-              "EvalScheduler, warm-start blobs off vs on (" +
-                  std::to_string(num_candidates) + " candidates)");
+  table.print(std::cout, "EvalScheduler session caches (" +
+                             std::to_string(num_candidates) + " candidates)");
 
   const double obs_overhead = observability_overhead(
       smoke ? 600 : 1500, smoke ? 15 : 21, options.seed);
@@ -315,8 +270,8 @@ int main(int argc, char** argv) {
   obs_table.add_row({"tracing + timing armed vs disarmed", ov});
   obs_table.print(std::cout, "Observability overhead, 5T OTA warm sample path");
 
-  std::cout << "gates: identical tallies across workers, capacities and "
-               "blobs on/off, observability overhead <=1.03x ("
+  std::cout << "gates: identical tallies across workers and capacities, "
+               "observability overhead <=1.03x ("
             << (obs_overhead <= 1.03 ? "ok" : "FAIL") << ")\n";
 
   char tail[64];

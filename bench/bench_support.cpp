@@ -88,9 +88,8 @@ StudyData run_example_study(const std::string& study_key,
   }
 
   // One scheduler for every reference run of the study: repeated estimates
-  // of the same design point (across methods or runs) revive their sessions
-  // from the warm-start blob store instead of re-running the nominal
-  // measurement.
+  // of the same design point (across methods or runs) reuse its cached
+  // sessions instead of re-running the nominal measurement.
   ThreadPool reference_pool(bench.threads);
   mc::EvalScheduler reference_scheduler(reference_pool);
   for (const MethodSpec& method : methods) {
@@ -193,10 +192,8 @@ std::string json_sim_breakdown(const mc::SimBreakdown& breakdown) {
 std::string json_sched_breakdown(const mc::SchedBreakdown& breakdown) {
   char buffer[256];
   std::snprintf(buffer, sizeof(buffer),
-                "{\"session_hits\":%lld,\"cold_opens\":%lld,"
-                "\"warm_opens\":%lld}",
-                breakdown.session_hits, breakdown.cold_opens,
-                breakdown.warm_opens);
+                "{\"session_hits\":%lld,\"cold_opens\":%lld}",
+                breakdown.session_hits, breakdown.cold_opens);
   return buffer;
 }
 

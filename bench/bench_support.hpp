@@ -78,7 +78,7 @@ BenchOptions bench_prologue(int argc, char** argv, const std::string& name);
 std::string json_sim_breakdown(const mc::SimBreakdown& breakdown);
 
 /// JSON object fragment for the warm-path scheduler events:
-/// {"session_hits":N,"cold_opens":N,"warm_opens":N}.
+/// {"session_hits":N,"cold_opens":N}.
 std::string json_sched_breakdown(const mc::SchedBreakdown& breakdown);
 
 /// Writes `body` (a JSON object's contents, without the outer braces) to

@@ -44,9 +44,4 @@ std::unique_ptr<mc::YieldProblem::Session> CircuitYieldProblem::open(
   return std::make_unique<CircuitSession>(evaluator_, x, specs_);
 }
 
-std::unique_ptr<mc::YieldProblem::Session> CircuitYieldProblem::open_warm(
-    std::span<const double> x, std::span<const double> blob) const {
-  return std::make_unique<CircuitSession>(evaluator_, x, specs_, blob);
-}
-
 }  // namespace moheco::circuits

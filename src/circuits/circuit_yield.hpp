@@ -13,7 +13,7 @@ namespace moheco::circuits {
 
 // Subclassed by NetlistYieldProblem (src/circuits/netlist_problem.hpp),
 // which supplies a deck-built topology but shares this evaluation pipeline
-// verbatim -- sessions, warm-start blobs, and scheduler behavior included.
+// verbatim -- sessions and scheduler behavior included.
 class CircuitYieldProblem : public mc::YieldProblem {
  public:
   /// With options.transient set, samples also run the step-buffer transient
@@ -27,10 +27,9 @@ class CircuitYieldProblem : public mc::YieldProblem {
   class CircuitSession final : public mc::YieldProblem::Session {
    public:
     CircuitSession(const AmplifierEvaluator& evaluator,
-                   std::span<const double> x, std::span<const Spec> specs,
-                   std::span<const double> blob = {})
-        : session_(std::make_unique<AmplifierEvaluator::Session>(
-              evaluator, x, blob)),
+                   std::span<const double> x, std::span<const Spec> specs)
+        : session_(std::make_unique<AmplifierEvaluator::Session>(evaluator,
+                                                                 x)),
           specs_(specs) {}
 
     mc::SampleResult evaluate(std::span<const double> xi) override;
@@ -38,13 +37,6 @@ class CircuitYieldProblem : public mc::YieldProblem {
     /// Full metric readout of one sample (empty span: the nominal point).
     Performance evaluate_performance(std::span<const double> xi) {
       return session_->evaluate(xi);
-    }
-
-    /// Serialized nominal state (see AmplifierEvaluator::Session doc);
-    /// consumed by CircuitYieldProblem::open_warm via the scheduler's blob
-    /// store.
-    std::vector<double> warm_start_blob() const override {
-      return session_->warm_start();
     }
 
    private:
@@ -57,12 +49,6 @@ class CircuitYieldProblem : public mc::YieldProblem {
   double upper_bound(std::size_t i) const override;
   std::size_t noise_dim() const override;
   std::unique_ptr<Session> open(std::span<const double> x) const override;
-  /// Revives a session from a warm-start blob: the nominal re-measurement
-  /// is skipped when the blob matches (same x, same solver structure);
-  /// otherwise this degrades to a cold open().
-  std::unique_ptr<Session> open_warm(
-      std::span<const double> x,
-      std::span<const double> blob) const override;
 
   const Topology& topology() const { return evaluator_.topology(); }
   const AmplifierEvaluator& evaluator() const { return evaluator_; }

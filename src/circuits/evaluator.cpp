@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
-#include <cstdint>
 
 #include "src/circuits/step_metrics.hpp"
 #include "src/circuits/testbench.hpp"
@@ -14,60 +13,6 @@ namespace moheco::circuits {
 namespace {
 
 constexpr double kMaxFrequency = 1e14;  // Hz; beyond this "no crossing"
-
-// --- warm-start blob (de)serialization helpers ---------------------------
-// The blob is a flat vector of doubles; integers are stored as two exact
-// 32-bit halves so pattern keys survive the double round-trip bit-for-bit.
-
-constexpr double kWarmBlobVersion = 1.0;
-
-void blob_push_u64(std::vector<double>& blob, std::uint64_t v) {
-  blob.push_back(static_cast<double>(v & 0xFFFFFFFFu));
-  blob.push_back(static_cast<double>(v >> 32));
-}
-
-/// Bounds-checked cursor over a blob; every read fails soft so a truncated
-/// or foreign blob is rejected rather than trusted.
-class BlobReader {
- public:
-  explicit BlobReader(std::span<const double> blob) : blob_(blob) {}
-
-  bool read(double* out) {
-    if (pos_ >= blob_.size()) return false;
-    *out = blob_[pos_++];
-    return true;
-  }
-
-  bool read_u64(std::uint64_t* out) {
-    double lo = 0.0, hi = 0.0;
-    if (!read(&lo) || !read(&hi)) return false;
-    if (lo < 0.0 || hi < 0.0 || lo > 4294967295.0 || hi > 4294967295.0) {
-      return false;
-    }
-    *out = (static_cast<std::uint64_t>(hi) << 32) |
-           static_cast<std::uint64_t>(lo);
-    return true;
-  }
-
-  bool read_size(std::size_t* out, std::size_t max) {
-    double v = 0.0;
-    if (!read(&v) || v < 0.0 || v > static_cast<double>(max)) return false;
-    *out = static_cast<std::size_t>(v);
-    return true;
-  }
-
-  bool read_vector(std::vector<double>* out, std::size_t n) {
-    if (pos_ + n > blob_.size()) return false;
-    out->assign(blob_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                blob_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-    pos_ += n;
-    return true;
-  }
-
- private:
-  std::span<const double> blob_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -90,13 +35,7 @@ Performance AmplifierEvaluator::evaluate(std::span<const double> x,
 
 AmplifierEvaluator::Session::Session(const AmplifierEvaluator& parent,
                                      std::span<const double> x)
-    : Session(parent, x, /*blob=*/{}) {}
-
-AmplifierEvaluator::Session::Session(const AmplifierEvaluator& parent,
-                                     std::span<const double> x,
-                                     std::span<const double> blob)
     : parent_(&parent),
-      x_(x.begin(), x.end()),
       circuit_(parent.topology().build(x)) {
   require(static_cast<int>(circuit_.netlist.mosfets().size()) ==
               parent.topology().num_transistors(),
@@ -120,109 +59,7 @@ AmplifierEvaluator::Session::Session(const AmplifierEvaluator& parent,
     step_dc_ = std::make_unique<spice::DcSolver>(step_circuit_->netlist);
     tran_ = std::make_unique<spice::TranSolver>(step_circuit_->netlist);
   }
-  if (blob.empty()) {
-    nominal_perf_ = measure(/*is_nominal=*/true);
-  } else if (!restore_warm_start(blob)) {
-    // Corrupt/foreign/stale blob: reject it and re-measure cold.  This is a
-    // degradation rung, not an error -- the blob store is advisory.
-    fail::ladder_count(fail::Ladder::kWarmBlobRejected);
-    nominal_perf_ = measure(/*is_nominal=*/true);
-  }
-}
-
-std::vector<double> AmplifierEvaluator::Session::warm_start() const {
-  if (!have_nominal_solution_) return {};  // nothing worth reviving
-  std::vector<double> blob;
-  blob.reserve(16 + x_.size() + nominal_solution_.size() +
-               step_nominal_solution_.size());
-  blob.push_back(kWarmBlobVersion);
-  blob_push_u64(blob, dc_->pattern_key());
-  blob_push_u64(blob, step_dc_ ? step_dc_->pattern_key() : 0);
-  blob.push_back(static_cast<double>(x_.size()));
-  blob.insert(blob.end(), x_.begin(), x_.end());
-  blob.push_back(last_crossing_);
-  blob.push_back(static_cast<double>(nominal_solution_.size()));
-  blob.insert(blob.end(), nominal_solution_.begin(), nominal_solution_.end());
-  const std::size_t n_step =
-      have_step_nominal_ ? step_nominal_solution_.size() : 0;
-  blob.push_back(static_cast<double>(n_step));
-  blob.insert(blob.end(), step_nominal_solution_.begin(),
-              step_nominal_solution_.begin() + static_cast<std::ptrdiff_t>(n_step));
-  blob.push_back(nominal_perf_.valid ? 1.0 : 0.0);
-  blob.push_back(nominal_perf_.a0_db);
-  blob.push_back(nominal_perf_.gbw);
-  blob.push_back(nominal_perf_.pm_deg);
-  blob.push_back(nominal_perf_.swing);
-  blob.push_back(nominal_perf_.power);
-  blob.push_back(nominal_perf_.offset);
-  blob.push_back(nominal_perf_.area);
-  blob.push_back(nominal_perf_.sat_margin);
-  blob.push_back(nominal_perf_.slew_rate);
-  blob.push_back(nominal_perf_.settling_time);
-  return blob;
-}
-
-bool AmplifierEvaluator::Session::restore_warm_start(
-    std::span<const double> blob) {
-  BlobReader reader(blob);
-  double version = 0.0;
-  if (!reader.read(&version) || version != kWarmBlobVersion) return false;
-  std::uint64_t main_key = 0, step_key = 0;
-  if (!reader.read_u64(&main_key) || main_key != dc_->pattern_key()) {
-    return false;
-  }
-  if (!reader.read_u64(&step_key) ||
-      step_key != (step_dc_ ? step_dc_->pattern_key() : 0)) {
-    return false;
-  }
-  // Exact design-point match: the scheduler's blob store is keyed by a hash
-  // of x, so a collision can hand over another candidate's blob.
-  std::size_t nvars = 0;
-  std::vector<double> blob_x;
-  if (!reader.read_size(&nvars, 1u << 20) || nvars != x_.size() ||
-      !reader.read_vector(&blob_x, nvars) || blob_x != x_) {
-    return false;
-  }
-  double crossing = 0.0;
-  if (!reader.read(&crossing)) return false;
-  std::size_t n_main = 0;
-  std::vector<double> main_solution;
-  if (!reader.read_size(&n_main, 1u << 24) ||
-      n_main != dc_->layout().size() ||
-      !reader.read_vector(&main_solution, n_main)) {
-    return false;
-  }
-  std::size_t n_step = 0;
-  std::vector<double> step_solution;
-  if (!reader.read_size(&n_step, 1u << 24) ||
-      !reader.read_vector(&step_solution, n_step)) {
-    return false;
-  }
-  if (n_step != 0 &&
-      (!step_dc_ || n_step != step_dc_->layout().size())) {
-    return false;
-  }
-  Performance perf;
-  double valid = 0.0;
-  if (!reader.read(&valid) || !reader.read(&perf.a0_db) ||
-      !reader.read(&perf.gbw) || !reader.read(&perf.pm_deg) ||
-      !reader.read(&perf.swing) || !reader.read(&perf.power) ||
-      !reader.read(&perf.offset) || !reader.read(&perf.area) ||
-      !reader.read(&perf.sat_margin) || !reader.read(&perf.slew_rate) ||
-      !reader.read(&perf.settling_time)) {
-    return false;
-  }
-  perf.valid = valid != 0.0;
-
-  nominal_solution_ = std::move(main_solution);
-  have_nominal_solution_ = true;
-  last_crossing_ = crossing;
-  if (n_step != 0) {
-    step_nominal_solution_ = std::move(step_solution);
-    have_step_nominal_ = true;
-  }
-  nominal_perf_ = perf;
-  return true;
+  nominal_perf_ = measure(/*is_nominal=*/true);
 }
 
 void AmplifierEvaluator::Session::apply_process(std::span<const double> xi) {

@@ -12,15 +12,9 @@
 // starts (DC solution, GBW crossing seed) come from the *nominal* point
 // computed at construction, never from previously evaluated samples, so a
 // sample's result is a pure function of (x, xi) and the mc::EvalScheduler
-// may cache, evict, and reopen sessions freely.  A cold session cache miss
+// may cache, evict, and reopen sessions freely.  Every session cache miss
 // re-runs the nominal measurement (one DC+AC solve, plus the step-bench
-// transient when enabled) in the constructor; warm_start() serializes
-// exactly that nominal state (design vector, solver pattern key, DC
-// solutions, GBW crossing seed, nominal Performance) so a session revived
-// from the blob skips the nominal re-measurement entirely.  The blob is
-// validated (version, exact x match, pattern key) and silently ignored on
-// mismatch, so a revived session is observationally identical to a cold
-// one.
+// transient when enabled) in the constructor.
 #pragma once
 
 #include <memory>
@@ -72,12 +66,6 @@ class AmplifierEvaluator {
   class Session {
    public:
     Session(const AmplifierEvaluator& parent, std::span<const double> x);
-    /// Blob-seeded construction: when `blob` is a valid warm_start() of the
-    /// same design point (and the same evaluator configuration), the
-    /// nominal measurement is skipped and its state restored from the
-    /// blob; otherwise falls back to the cold path.
-    Session(const AmplifierEvaluator& parent, std::span<const double> x,
-            std::span<const double> blob);
 
     /// Evaluates one process sample; pass an empty span for the nominal
     /// point.  `xi` must otherwise have process().dim() entries.
@@ -86,15 +74,7 @@ class AmplifierEvaluator {
     /// The nominal-point performance (computed on construction).
     const Performance& nominal() const { return nominal_perf_; }
 
-    /// Serializes the construction-time nominal state (see the header
-    /// comment) for mc::EvalScheduler's warm-start blob store.  Empty when
-    /// the nominal DC solve did not converge (nothing worth reviving).
-    std::vector<double> warm_start() const;
-
    private:
-    /// Restores the nominal state from `blob`; false leaves the session in
-    /// its pre-nominal state (caller runs the cold measurement).
-    bool restore_warm_start(std::span<const double> blob);
     Performance measure(bool is_nominal);
     Performance measure_small_signal(bool is_nominal);
     /// The AC leg of measure_small_signal: A0 / GBW / phase margin at
@@ -105,7 +85,6 @@ class AmplifierEvaluator {
     void apply_process(std::span<const double> xi);
 
     const AmplifierEvaluator* parent_;
-    std::vector<double> x_;  ///< design point (embedded in warm-start blobs)
     BuiltCircuit circuit_;
     std::vector<spice::MosModel> base_cards_;
     std::unique_ptr<spice::DcSolver> dc_;

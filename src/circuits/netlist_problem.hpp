@@ -11,7 +11,7 @@
 // the existing ProcessModel.  NetlistYieldProblem is then a plain
 // CircuitYieldProblem over that topology: the deck path and the hand-coded
 // C++ topologies share ONE evaluation pipeline (AmplifierEvaluator
-// sessions, warm-start blobs, EvalScheduler caching), which is what makes a
+// sessions, EvalScheduler caching), which is what makes a
 // deck exported from a built-in topology reproduce its yield tallies
 // bit-for-bit under the same seed.
 #pragma once

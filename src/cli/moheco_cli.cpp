@@ -6,10 +6,7 @@
 //   - estimates the MC yield at the deck's nominal sizing (--estimate), or
 //   - prints the nominal-point performance (--nominal),
 // then reports results as text, optionally as a JSON object (--json=) and
-// as a sized deck at the chosen design (--deck-out=).  --warm-cache=DIR
-// persists the evaluation scheduler's warm-start blob store across
-// invocations through the ResultsCache, so repeated runs over recurring
-// sizings skip their nominal re-measurements.
+// as a sized deck at the chosen design (--deck-out=).
 //
 // Jobs execute through serve::JobRunner -- the same code path the moheco_d
 // daemon uses -- so a local run and a daemon run of the same (deck, seed,
@@ -37,7 +34,6 @@
 #include "src/common/failpoint.hpp"
 #include "src/common/json.hpp"
 #include "src/common/log.hpp"
-#include "src/common/results_cache.hpp"
 #include "src/obs/build_info.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
@@ -59,7 +55,6 @@ struct CliOptions {
   circuits::EvalOptions eval;
   std::string json_path;
   std::string deck_out_path;
-  std::string warm_cache_dir;
   bool quiet = false;
   /// Fail-point spec from --faults (armed during parse; recorded so main
   /// knows not to also consult MOHECO_FAULTS).
@@ -100,8 +95,6 @@ void print_usage() {
                "outputs:\n"
                "  --json=PATH           machine-readable results\n"
                "  --deck-out=PATH       sized deck at the reported design\n"
-               "  --warm-cache=DIR      persist warm-start blobs across runs\n"
-               "                        (local runs; the daemon has its own cache)\n"
                "  --quiet               suppress the text report\n"
                "\n"
                "fault containment (see docs/faults.md):\n"
@@ -241,8 +234,6 @@ CliOptions parse_cli(int argc, char** argv) {
       cli.json_path = value;
     } else if (key == "--deck-out") {
       cli.deck_out_path = value;
-    } else if (key == "--warm-cache") {
-      cli.warm_cache_dir = value;
     } else if (key == "--checkpoint") {
       if (value.empty()) {
         throw InvalidArgument("moheco_cli: missing directory in '" + arg + "'");
@@ -446,22 +437,10 @@ int run_local(const CliOptions& cli) {
   const serve::JobSpec spec = make_spec(cli);
   ThreadPool pool(cli.moheco.threads);
   serve::JobRunner runner(pool, cli.moheco.scheduler);
-
-  // Warm-start persistence: keyed on deck CONTENT (serve::warm_cache_key),
-  // so the same deck hits from any path and an edited deck misses.
-  const std::string cache_key = serve::warm_cache_key(spec);
-  std::optional<ResultMap> warm;
-  if (!cli.warm_cache_dir.empty()) {
-    warm = ResultsCache(cli.warm_cache_dir).load(cache_key);
-  }
-  const serve::JobResult result = runner.run(
-      spec, warm && !warm->empty() ? &*warm : nullptr, /*cancel=*/nullptr);
+  const serve::JobResult result = runner.run(spec);
   if (!result.ok) {
     std::fprintf(stderr, "moheco_cli: %s\n", result.error.c_str());
     return 1;
-  }
-  if (!cli.warm_cache_dir.empty() && !result.warm_blobs.empty()) {
-    ResultsCache(cli.warm_cache_dir).store(cache_key, result.warm_blobs);
   }
   return emit_outputs(cli, result.json, result.sized_deck);
 }
@@ -554,11 +533,6 @@ int connect_attempt(const CliOptions& cli, const serve::JobSpec& spec) {
 }
 
 int run_connect(const CliOptions& cli) {
-  if (!cli.warm_cache_dir.empty()) {
-    std::fprintf(stderr,
-                 "moheco_cli: note: --warm-cache is ignored with --connect "
-                 "(the daemon keeps its own warm cache)\n");
-  }
   const serve::JobSpec spec = make_spec(cli);
   // Reconnect + resubmit loop.  Resubmitting the SAME spec is idempotent
   // from the client's point of view: the daemon's result cache is keyed by

@@ -3,8 +3,8 @@
 // Listens on a Unix-domain socket (--socket) and/or TCP on 127.0.0.1
 // (--tcp), accepts the line-delimited JSON protocol of docs/protocol.md and
 // runs every submitted deck job on ONE shared thread pool + evaluation
-// scheduler, with a deck-content-hash result cache and warm-start blob
-// cache in front (optionally persisted across restarts with --cache).
+// scheduler, with a deck-content-hash result cache in front (optionally
+// persisted across restarts with --cache).
 // Submit jobs with `moheco_cli DECK --connect=ENDPOINT`.
 #include <cerrno>
 #include <chrono>
@@ -43,11 +43,9 @@ void print_usage() {
                "  --threads=N           shared evaluation pool width (default: hardware)\n"
                "  --queue-depth=N       admission bound on queued jobs (default 64);\n"
                "                        submits beyond it are rejected explicitly\n"
-               "  --cache=PATH          persist result/warm caches across restarts\n"
+               "  --cache=PATH          persist the result cache across restarts\n"
                "                        (ResultsCache path)\n"
                "  --result-cache=N      in-memory result entries (default 256)\n"
-               "  --warm-cache=N        in-memory warm-blob entries (default 64)\n"
-
                "  --deadline-ms=N       wall-clock deadline for jobs that do not set\n"
                "                        options.deadline_ms themselves (default 0 =\n"
                "                        none); expired jobs fail with code 'deadline'\n"
@@ -126,13 +124,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       options.result_cache_entries = static_cast<std::size_t>(parsed);
-    } else if (key == "--warm-cache") {
-      if (!parse_int_flag(value, &parsed) || parsed < 1) {
-        std::fprintf(stderr, "moheco_d: bad entry count in '%s'\n",
-                     arg.c_str());
-        return 2;
-      }
-      options.warm_cache_entries = static_cast<std::size_t>(parsed);
     } else if (key == "--deadline-ms") {
       if (!parse_int_flag(value, &parsed) || parsed < 0) {
         std::fprintf(stderr, "moheco_d: bad deadline in '%s'\n", arg.c_str());

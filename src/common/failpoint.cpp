@@ -33,9 +33,8 @@ State& state() {
 }
 
 constexpr const char* kSiteNames[kNumSites] = {
-    "sparse_factor", "dense_factor", "newton",
-    "tran_stall",    "warm_blob",    "session_open",
-    "sock_write",    "sock_read",
+    "sparse_factor", "dense_factor", "newton",    "tran_stall",
+    "session_open",  "sock_write",   "sock_read",
 };
 
 int site_from_name(const std::string& name) {

@@ -32,7 +32,6 @@ enum class Site : int {
   kDenseFactor,       // dense LU breakdown on the sparse_to_dense rung
   kNewton,            // Newton non-convergence
   kTranStall,         // transient LTE stall (step-count exhaustion)
-  kWarmBlob,          // warm-start blob corruption
   kSessionOpen,       // evaluation session open() throw
   kSockWrite,         // serve-path socket write error
   kSockRead,          // serve-path socket read error

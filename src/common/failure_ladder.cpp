@@ -10,7 +10,6 @@ namespace {
 constexpr const char* kStageNames[kNumLadderStages] = {
     "sparse_to_dense",
     "sample_infeasible",
-    "warm_blob_rejected",
 };
 
 /// The registry's "fail.<rung>" counters: the ladder's only store.
@@ -18,7 +17,6 @@ obs::Counter& rung(int stage) {
   static obs::Counter* rungs[kNumLadderStages] = {
       &obs::registry().counter(std::string("fail.") + kStageNames[0]),
       &obs::registry().counter(std::string("fail.") + kStageNames[1]),
-      &obs::registry().counter(std::string("fail.") + kStageNames[2]),
   };
   return *rungs[stage];
 }

@@ -1,10 +1,10 @@
 // Process-global degradation-ladder accounting.
 //
 // Every graceful-degradation step in the stack (sparse LU falling back to
-// dense, a sample marked infeasible after solver failure, a warm-start blob
-// rejected as corrupt) counts its use here, so one run-level report can say
-// how often each rung was hit.  The counts live in the metrics registry as
-// the monotonic "fail.<rung>" counters (process-global because the solver
+// dense, a sample marked infeasible after solver failure) counts its use
+// here, so one run-level report can say how often each rung was hit.  The
+// counts live in the metrics registry as the monotonic "fail.<rung>"
+// counters (process-global because the solver
 // layers have no channel to a per-run SimCounter); callers snapshot
 // before/after a run and report the delta.
 #pragma once
@@ -17,7 +17,6 @@ namespace moheco::fail {
 enum class Ladder : int {
   kSparseToDense = 0,   // sparse LU breakdown retried with dense LU
   kSampleInfeasible,    // solver failure turned into a failed MC sample
-  kWarmBlobRejected,    // corrupt warm blob dropped, session opened cold
   kNumLadderStages,
 };
 

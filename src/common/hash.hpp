@@ -1,10 +1,10 @@
 // Content hashing shared by the caching layers.
 //
-// The warm-start blob store (mc::EvalScheduler), the CLI's --warm-cache
-// keys and the serving daemon's deck-hash result cache all key on FNV-1a
-// over raw bytes.  Collisions are tolerable everywhere the hash is used:
-// every consumer validates the payload it finds under a key (exact design
-// vector, blob version, option fingerprint) before trusting it.
+// The scheduler's session-adoption lookup (mc::EvalScheduler) and the
+// serving daemon's deck-hash result cache both key on FNV-1a over raw
+// bytes.  Collisions are tolerable everywhere the hash is used: every
+// consumer validates what it finds under a key (exact design vector,
+// option fingerprint) before trusting it.
 #pragma once
 
 #include <cstdint>

@@ -90,7 +90,7 @@ void save_checkpoint(const std::string& dir, const Checkpoint& state) {
         << state.sims.ocba << ' ' << state.sims.stage2 << ' '
         << state.sims.other << '\n';
     out << "sched " << state.sched.session_hits << ' '
-        << state.sched.cold_opens << ' ' << state.sched.warm_opens << '\n';
+        << state.sched.cold_opens << '\n';
     out << "fails " << state.fails.quarantine_open << ' '
         << state.fails.quarantine_eval << ' ' << state.fails.quarantine_screen
         << '\n';
@@ -108,11 +108,6 @@ void save_checkpoint(const std::string& dir, const Checkpoint& state) {
             << m.nominal_violation << ' ' << int(m.tally_failed) << ' '
             << m.fail_reason;
       }
-      out << '\n';
-    }
-    for (const auto& [key, blob] : state.blobs) {
-      out << "blob " << key;
-      put_vec(out, blob);
       out << '\n';
     }
     out << "end\n";
@@ -212,7 +207,6 @@ std::optional<Checkpoint> load_checkpoint(const std::string& dir) {
     auto iss = expect(in, path, "sched");
     ck.sched.session_hits = field<long long>(iss, path, "sched");
     ck.sched.cold_opens = field<long long>(iss, path, "sched");
-    ck.sched.warm_opens = field<long long>(iss, path, "sched");
   }
   {
     auto iss = expect(in, path, "fails");
@@ -256,23 +250,8 @@ std::optional<Checkpoint> load_checkpoint(const std::string& dir) {
     }
     ck.members.push_back(std::move(m));
   }
-  // Trailing blob entries up to the "end" sentinel.
-  std::string line;
-  bool ended = false;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream iss(line);
-    std::string tag;
-    iss >> tag;
-    if (tag == "end") {
-      ended = true;
-      break;
-    }
-    if (tag != "blob") corrupt(path, "expected 'blob' or 'end', got " + tag);
-    const auto key = field<std::string>(iss, path, "blob.key");
-    ck.blobs[key] = vec_field(iss, path, "blob.values");
-  }
-  if (!ended) corrupt(path, "missing 'end' sentinel (truncated file?)");
+  // The "end" sentinel: a file cut short anywhere is rejected.
+  expect(in, path, "end");
   return ck;
 }
 

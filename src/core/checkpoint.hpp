@@ -3,7 +3,7 @@
 // A checkpoint is the complete generation-granular state of a
 // MohecoOptimizer run: the loop-control scalars, the RNG stream, the
 // population (design vectors, fitnesses and full MC tally state) and the
-// scheduler's warm-start blob store.  Everything lands in ONE text file
+// run's counters.  Everything lands in ONE text file
 // written via temp-file + atomic rename, so a reader never observes a torn
 // or internally inconsistent checkpoint: a crash at any instant leaves
 // either the previous complete generation or the new complete generation.
@@ -11,11 +11,12 @@
 // Determinism: sample batch b of a candidate is a pure function of
 // (stream_seed, b), so the tally counters (samples/passes/batches) plus the
 // screen state fully reproduce the candidate's stream position.  Together
-// with the optimizer RNG state and the normalized scheduler blob store
-// (EvalScheduler::checkpoint_blobs), resuming from generation g replays the
-// remaining generations bit-identically to the uninterrupted run (with one
-// worker thread; timing-dependent scheduler event counters may differ with
-// more).
+// with the optimizer RNG state and the scheduler normalization at every
+// checkpoint (EvalScheduler::drop_sessions: the checkpointed run continues
+// from cold session caches, exactly as the resume starts), resuming from
+// generation g replays the remaining generations bit-identically to the
+// uninterrupted run (with one worker thread; timing-dependent scheduler
+// event counters may differ with more).
 //
 // Doubles are stored at precision 17 (shortest exactly-round-tripping
 // decimal length for binary64), the same discipline as ResultsCache.
@@ -26,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/results_cache.hpp"
 #include "src/mc/sim_counter.hpp"
 #include "src/stats/rng.hpp"
 
@@ -36,8 +36,9 @@ namespace moheco::core {
 /// seeing an unknown version throws instead of guessing (forward
 /// compatibility is "re-run from scratch", never silent misparse).
 /// Version 2 dropped the scheduler's affinity-hit, steal and migration
-/// counts from the `sched` line.
-inline constexpr int kCheckpointVersion = 2;
+/// counts from the `sched` line; version 3 dropped the warm-start `blob`
+/// lines and the `sched` line's warm-open count.
+inline constexpr int kCheckpointVersion = 3;
 
 struct Checkpoint {
   // --- identity: validated against the resuming run's options ---
@@ -86,10 +87,6 @@ struct Checkpoint {
     int fail_reason = 0;
   };
   std::vector<MemberState> members;
-
-  /// EvalScheduler::checkpoint_blobs() snapshot (decimal design hash ->
-  /// warm-start blob), re-imported on resume.
-  ResultMap blobs;
 };
 
 /// Writes `state` to `dir`/checkpoint.txt (directory created as needed) via

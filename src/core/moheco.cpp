@@ -507,10 +507,9 @@ void MohecoOptimizer::write_checkpoint(int generation, bool done,
     }
     ck.members.push_back(std::move(ms));
   }
-  // Normalizing the scheduler AFTER the flush: live sessions park into the
-  // blob store and the caches go cold, exactly the state a resumed run
-  // rebuilds from this snapshot.
-  ck.blobs = scheduler_->checkpoint_blobs();
+  // Normalizing the scheduler AFTER the flush: every cached session is
+  // dropped, so the caches are as cold as a resumed run's.
+  scheduler_->drop_sessions();
   save_checkpoint(options_.checkpoint_dir, ck);
 }
 
@@ -558,7 +557,6 @@ bool MohecoOptimizer::resume_from_checkpoint(MohecoResult& result,
   stream_counter_ = ck.stream_counter;
   last_local_search_x_ = ck.last_local_search_x;
   sims_.restore(ck.sims, ck.sched, ck.fails);
-  scheduler_->import_blobs(*problem_, ck.blobs);
   result.generations = ck.result_generations;
   result.reached_full_yield = ck.reached_full_yield;
   best_scalar = ck.best_scalar;

@@ -22,11 +22,11 @@
 // batches of generation g are enqueued when promotion is decided (from the
 // stage-1 tallies) but evaluated together with generation g+1's nominal
 // screens as one overlapping job set on the EvalScheduler, whose per-worker
-// session caches and warm-start blob store keep hot candidates' evaluator
-// sessions warm across rounds and generations.  Stage-2 samples
-// land in the tallies before generation g+1's OCBA pool reads them and the
-// sample streams are fixed at enqueue time, so the overlap never changes a
-// tally.  See src/mc/eval_scheduler.hpp.
+// session caches keep hot candidates' evaluator sessions warm across rounds
+// and generations.  Stage-2 samples land in the tallies before generation
+// g+1's OCBA pool reads them and the sample streams are fixed at enqueue
+// time, so the overlap never changes a tally.  See
+// src/mc/eval_scheduler.hpp.
 #pragma once
 
 #include <cstdint>
@@ -63,19 +63,19 @@ struct MohecoOptions {
   int max_generations = 200;
   int threads = 0;                ///< MC worker threads; 0 = hardware
   /// Generation-wide evaluation scheduler knobs (per-worker session-cache
-  /// capacity, chunk size, warm-start blob store).  The optimizer owns one
+  /// capacity).  The optimizer owns one
   /// EvalScheduler for its whole run, so session caches persist across
   /// generations.
   mc::SchedulerOptions scheduler;
   std::uint64_t seed = 1;
   /// Crash-safe checkpointing: when non-empty, the optimizer writes its
   /// full generation-granular state (population, tallies, RNG streams,
-  /// counters, warm-blob store) into this directory after every generation,
-  /// each file landing via atomic temp-file + rename.  Checkpoint mode
-  /// normalizes the scheduler at each generation boundary (live sessions
-  /// parked to the blob store) so a resumed run rebuilds the exact same
-  /// scheduler state; MC tallies and reported results are unchanged, but
-  /// warm-path scheduler event counts differ from a non-checkpointed run.
+  /// counters) into this directory after every generation, each file
+  /// landing via atomic temp-file + rename.  Checkpoint mode normalizes the
+  /// scheduler at each generation boundary (every cached session dropped)
+  /// so a resumed run starts from the exact same scheduler state; MC
+  /// tallies and reported results are unchanged, but warm-path scheduler
+  /// event counts differ from a non-checkpointed run.
   std::string checkpoint_dir;
   /// With `resume`, run() first tries to load `checkpoint_dir`'s state and
   /// continues from the last completed generation; the final result is
@@ -131,7 +131,7 @@ struct MohecoResult {
   /// Per-phase split of total_simulations (screen / stage-1 / OCBA rounds /
   /// stage-2 / other), for the ablation benches' budget accounting.
   mc::SimBreakdown sim_breakdown;
-  /// Warm-path scheduler events of the run (session cache hits, cold/warm
+  /// Warm-path scheduler events of the run (session cache hits, cold
   /// opens).
   mc::SchedBreakdown sched_breakdown;
   /// Candidates quarantined by the fault-containment layer, split by where
@@ -152,9 +152,8 @@ class MohecoOptimizer {
 
   /// Borrowing constructor: runs on a caller-owned scheduler (and its
   /// thread pool) instead of constructing one per optimizer.  The serving
-  /// daemon multiplexes every deck job onto ONE shared pool this way, so
-  /// recurring decks find the scheduler's warm state.  `options.threads`
-  /// is ignored; the caller must not touch `scheduler` while run() is in
+  /// daemon multiplexes every deck job onto ONE shared pool this way.
+  /// `options.threads` is ignored; the caller must not touch `scheduler` while run() is in
   /// flight, and owns purging problem-specific state afterwards
   /// (EvalScheduler::forget_problem) if the problem outlives the run.
   MohecoOptimizer(const mc::YieldProblem& problem, MohecoOptions options,
@@ -165,11 +164,6 @@ class MohecoOptimizer {
   /// Runs only the population initialization and one DE generation, then
   /// returns.  Used by the Fig. 3 bench to inspect a "typical population".
   MohecoResult run_generations(int generations);
-
-  /// The run-wide evaluation scheduler.  Exposed so drivers can persist the
-  /// warm-start blob store across runs (EvalScheduler::export_blobs /
-  /// import_blobs through a ResultsCache); call only outside run().
-  mc::EvalScheduler& scheduler() { return *scheduler_; }
 
  private:
   struct Evaluated {
@@ -193,7 +187,7 @@ class MohecoOptimizer {
   void init_bounds(const mc::YieldProblem& problem);
   std::size_t best_index() const;
   /// Checkpoint-mode generation boundary: drains the deferred stage-2
-  /// batches, normalizes the scheduler (EvalScheduler::checkpoint_blobs)
+  /// batches, normalizes the scheduler (EvalScheduler::drop_sessions)
   /// and atomically writes the full run state to options_.checkpoint_dir.
   void write_checkpoint(int generation, bool done, const MohecoResult& result,
                         double best_scalar, int stagnant_ls,

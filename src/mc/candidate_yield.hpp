@@ -117,9 +117,8 @@ double reference_yield(const YieldProblem& problem, std::span<const double> x,
                            stats::SamplingMethod::kPMC);
 
 /// Same estimate on a caller-owned scheduler: repeated reference runs reuse
-/// cached sessions, and a re-estimate of a design point whose session was
-/// evicted revives it from the scheduler's warm-start blob store instead of
-/// re-running the nominal measurement.  When `sims` is non-null the samples
+/// cached sessions (a re-estimate of a design point whose session was
+/// evicted reopens it cold).  When `sims` is non-null the samples
 /// are counted under SimPhase::kOther (plus the scheduler events).
 double reference_yield(const YieldProblem& problem, std::span<const double> x,
                        long long count, std::uint64_t seed,

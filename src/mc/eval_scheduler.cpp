@@ -1,8 +1,6 @@
 #include "src/mc/eval_scheduler.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "src/common/error.hpp"
 #include "src/common/failpoint.hpp"
@@ -20,120 +18,23 @@ EvalScheduler::EvalScheduler(ThreadPool& pool, SchedulerOptions options)
       caches_(static_cast<std::size_t>(pool.num_workers())) {
   require(options_.sessions_per_worker > 0,
           "EvalScheduler: sessions_per_worker must be positive");
-  require(options_.warm_start_blobs >= 0,
-          "EvalScheduler: warm_start_blobs must be non-negative");
   for (auto& cache : caches_) {
     cache.entries.reserve(
         static_cast<std::size_t>(options_.sessions_per_worker));
   }
 }
 
-void EvalScheduler::park_blob(std::uint64_t x_hash,
-                              const YieldProblem* problem,
-                              const YieldProblem::Session& session) {
-  if (options_.warm_start_blobs <= 0) return;
-  std::vector<double> blob = session.warm_start_blob();
-  if (blob.empty()) return;  // problem does not support warm starts
-  std::lock_guard<std::mutex> lock(blob_mutex_);
-  ++blob_tick_;
-  auto it = blobs_.find(x_hash);
-  if (it != blobs_.end()) {
-    it->second.problem = problem;
-    it->second.blob = std::move(blob);
-    it->second.tick = blob_tick_;
-    return;
-  }
-  if (blobs_.size() >= static_cast<std::size_t>(options_.warm_start_blobs)) {
-    // Evict the least-recently-touched blob.  Linear scan is fine: parking
-    // only happens on session eviction, orders of magnitude rarer than
-    // sample evaluations.
-    auto victim = blobs_.begin();
-    for (auto jt = blobs_.begin(); jt != blobs_.end(); ++jt) {
-      if (jt->second.tick < victim->second.tick) victim = jt;
-    }
-    blobs_.erase(victim);
-  }
-  blobs_.emplace(x_hash, BlobEntry{problem, std::move(blob), blob_tick_});
-}
-
-ResultMap EvalScheduler::export_blobs() {
-  // Taken before any cache walk: a concurrent flush() owns the worker
-  // caches until its job set drains, so the snapshot waits for it.
-  std::lock_guard<std::mutex> maintenance(maintenance_mutex_);
-  // Park the live sessions first (without evicting them): after a run the
-  // hottest candidates sit in the worker caches, not in the blob store.
-  for (WorkerCache& cache : caches_) {
-    for (CacheEntry& entry : cache.entries) {
-      if (entry.session) {
-        park_blob(entry.x_hash, entry.problem, *entry.session);
-      }
-    }
-  }
-  ResultMap out;
-  std::lock_guard<std::mutex> lock(blob_mutex_);
-  for (const auto& [hash, entry] : blobs_) {
-    out.emplace(std::to_string(hash), entry.blob);
-  }
-  return out;
-}
-
-std::size_t EvalScheduler::import_blobs(const YieldProblem& problem,
-                                        const ResultMap& blobs) {
-  if (options_.warm_start_blobs <= 0) return 0;
-  std::lock_guard<std::mutex> maintenance(maintenance_mutex_);
-  std::lock_guard<std::mutex> lock(blob_mutex_);
-  std::size_t imported = 0;
-  for (const auto& [key, blob] : blobs) {
-    if (blobs_.size() >= static_cast<std::size_t>(options_.warm_start_blobs)) {
-      break;
-    }
-    if (blob.empty()) continue;
-    char* end = nullptr;
-    const std::uint64_t hash = std::strtoull(key.c_str(), &end, 10);
-    if (end == key.c_str() || *end != '\0') continue;  // foreign key
-    if (blobs_.emplace(hash, BlobEntry{&problem, blob, ++blob_tick_}).second) {
-      ++imported;
-    }
-  }
-  return imported;
-}
-
-ResultMap EvalScheduler::checkpoint_blobs() {
+void EvalScheduler::drop_sessions() {
   require(pending_.empty(),
-          "EvalScheduler::checkpoint_blobs: flush pending jobs first");
-  std::lock_guard<std::mutex> maintenance(maintenance_mutex_);
-  // Park every live session, then drop the worker caches entirely: a
-  // resumed run starts with cold caches, so the checkpointed run must
-  // continue from cold caches too for the eviction decisions (and
-  // thus the sched event counts) to match from here on.
+          "EvalScheduler::drop_sessions: flush pending jobs first");
   for (WorkerCache& cache : caches_) {
-    for (CacheEntry& entry : cache.entries) {
-      if (entry.session) {
-        park_blob(entry.x_hash, entry.problem, *entry.session);
-        live_sessions_.fetch_sub(1, std::memory_order_relaxed);
-      }
-    }
     cache.entries.clear();
     cache.tick = 0;
   }
-  std::lock_guard<std::mutex> lock(blob_mutex_);
-  ResultMap out;
-  for (const auto& [hash, entry] : blobs_) {
-    out.emplace(std::to_string(hash), entry.blob);
-  }
-  // Renumber the blob LRU ticks to what import_blobs() on a fresh scheduler
-  // assigns when fed this snapshot: 1..N in sorted decimal-key order.
-  blob_tick_ = 0;
-  for (const auto& [key, blob] : out) {
-    const std::uint64_t hash = std::strtoull(key.c_str(), nullptr, 10);
-    auto it = blobs_.find(hash);
-    if (it != blobs_.end()) it->second.tick = ++blob_tick_;
-  }
-  return out;
+  live_sessions_.store(0, std::memory_order_relaxed);
 }
 
 void EvalScheduler::forget_problem(const YieldProblem* problem) {
-  std::lock_guard<std::mutex> maintenance(maintenance_mutex_);
   for (WorkerCache& cache : caches_) {
     for (CacheEntry& entry : cache.entries) {
       if (entry.session && entry.problem == problem) {
@@ -143,10 +44,6 @@ void EvalScheduler::forget_problem(const YieldProblem* problem) {
         live_sessions_.fetch_sub(1, std::memory_order_relaxed);
       }
     }
-  }
-  std::lock_guard<std::mutex> lock(blob_mutex_);
-  for (auto it = blobs_.begin(); it != blobs_.end();) {
-    it = it->second.problem == problem ? blobs_.erase(it) : std::next(it);
   }
 }
 
@@ -184,49 +81,26 @@ YieldProblem::Session* EvalScheduler::session_for(int worker,
   } else {
     // Evict the least-recently-used session before opening the replacement,
     // so the live-session bound of capacity * workers is never exceeded,
-    // even transiently.  The evicted session's warm-start state is parked
-    // in the blob store so a revival skips the nominal re-measurement.
+    // even transiently.
     slot = &cache.entries.front();
     for (CacheEntry& entry : cache.entries) {
       if (entry.tick < slot->tick) slot = &entry;
     }
     if (slot->session) {
-      park_blob(slot->x_hash, slot->problem, *slot->session);
       slot->session.reset();
       live_sessions_.fetch_sub(1, std::memory_order_relaxed);
     }
   }
-  const std::uint64_t x_hash = lookup_hash;
-  std::vector<double> blob;
-  if (options_.warm_start_blobs > 0) {
-    std::lock_guard<std::mutex> lock(blob_mutex_);
-    auto it = blobs_.find(x_hash);
-    if (it != blobs_.end() && it->second.problem == &tally.problem()) {
-      it->second.tick = ++blob_tick_;
-      blob = it->second.blob;  // copy: the entry may be evicted concurrently
-    }
-  }
-  if (!blob.empty() && fail::should_fail(fail::Site::kWarmBlob)) {
-    // Simulated blob corruption: truncate the copy so open_warm()'s
-    // validation rejects it and the session re-measures cold (the
-    // warm_blob_rejected ladder rung).
-    blob.resize(blob.size() / 2);
-  }
   if (fail::should_fail(fail::Site::kSessionOpen)) {
     throw Error("failpoint: session_open");
   }
-  // open()/open_warm() may throw (e.g. a failing nominal solve); the slot is
-  // then left empty (null session, skipped by lookups and recycled first by
-  // the LRU scan), keeping the cache and the live-session accounting valid.
-  if (!blob.empty()) {
-    slot->session = tally.problem().open_warm(tally.x(), blob);
-    warm_opens_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    slot->session = tally.problem().open(tally.x());
-    cold_opens_.fetch_add(1, std::memory_order_relaxed);
-  }
+  // open() may throw (e.g. a failing nominal solve); the slot is then left
+  // empty (null session, skipped by lookups and recycled first by the LRU
+  // scan), keeping the cache and the live-session accounting valid.
+  slot->session = tally.problem().open(tally.x());
+  cold_opens_.fetch_add(1, std::memory_order_relaxed);
   slot->key = tally.id();
-  slot->x_hash = x_hash;
+  slot->x_hash = lookup_hash;
   slot->problem = &tally.problem();
   slot->x.assign(tally.x().begin(), tally.x().end());
   slot->tick = cache.tick;
@@ -296,10 +170,6 @@ void EvalScheduler::flush(SimCounter& sims, SimPhase phase) {
   static obs::Histogram& flush_us =
       obs::registry().histogram("sched.flush_us");
   obs::ScopedTimer flush_timer(flush_us);
-  // Blocks blob-store maintenance (export/import/forget from other
-  // threads) until this job set drains; the workers walk the caches
-  // without further locking, exactly as before.
-  std::lock_guard<std::mutex> maintenance(maintenance_mutex_);
   long long total = 0;
   for (const PendingJob& job : pending_) {
     if (!job.screen) total += job.count;
@@ -375,7 +245,6 @@ void EvalScheduler::flush(SimCounter& sims, SimPhase phase) {
 
   const long long hits_before = session_hits();
   const long long cold_before = cold_opens_.load(std::memory_order_relaxed);
-  const long long warm_before = warm_opens_.load(std::memory_order_relaxed);
   try {
     pool_->parallel_for(tasks.size(), evaluate_task, /*grain=*/1);
   } catch (...) {
@@ -438,11 +307,8 @@ void EvalScheduler::flush(SimCounter& sims, SimPhase phase) {
   const long long flush_session_hits = session_hits() - hits_before;
   const long long flush_cold =
       cold_opens_.load(std::memory_order_relaxed) - cold_before;
-  const long long flush_warm =
-      warm_opens_.load(std::memory_order_relaxed) - warm_before;
   sims.add_event(SchedEvent::kSessionHit, flush_session_hits);
   sims.add_event(SchedEvent::kSessionOpenCold, flush_cold);
-  sims.add_event(SchedEvent::kSessionOpenWarm, flush_warm);
 
   // Process-global registry totals over the same deltas SimCounter just
   // recorded (SimCounter stays the per-run view; see docs/observability.md).
@@ -450,11 +316,9 @@ void EvalScheduler::flush(SimCounter& sims, SimPhase phase) {
     static obs::Counter& c_session_hits =
         obs::registry().counter("sched.session_hits");
     static obs::Counter& c_cold = obs::registry().counter("sched.cold_opens");
-    static obs::Counter& c_warm = obs::registry().counter("sched.warm_opens");
     static obs::Counter& c_flushes = obs::registry().counter("sched.flushes");
     c_session_hits.add(static_cast<std::uint64_t>(flush_session_hits));
     c_cold.add(static_cast<std::uint64_t>(flush_cold));
-    c_warm.add(static_cast<std::uint64_t>(flush_warm));
     c_flushes.add(1);
   }
   pending_.clear();
@@ -482,7 +346,6 @@ void EvalScheduler::for_each(
   require(pending_.empty(),
           "EvalScheduler::for_each: flush pending jobs first");
   if (rows == 0) return;
-  std::lock_guard<std::mutex> maintenance(maintenance_mutex_);
   const std::size_t chunk = chunk_for(rows);
   const std::size_t num_chunks = (rows + chunk - 1) / chunk;
   pool_->parallel_for(

@@ -22,36 +22,31 @@
 //     generations.  There is no worker affinity: a candidate's tasks run
 //     wherever a worker is free, because on the paper's Example 1 workload
 //     pinning candidates to workers changed neither session opens nor wall
-//     time.
-//   - Warm-start handoff: when a session is evicted, its warm_start_blob()
-//     (see src/mc/yield_problem.hpp) is parked in a scheduler-wide LRU blob
-//     store keyed by a hash of the design vector; a later cache miss for
-//     the same x revives the session through open_warm(), skipping the
-//     expensive nominal re-measurement.
+//     time.  An evicted session leaves nothing behind: a later miss for the
+//     same x reopens it cold through YieldProblem::open().  MOHECO screens
+//     each fresh candidate once and rarely revisits one after eviction (on
+//     Example 1 a revival store served 0.22% of opens), so no warm-start
+//     state is kept across evictions.
 //
 // Determinism: enqueue() consumes the candidate's sample stream immediately
 // (batch index and size are fixed at enqueue time), every sample of a batch
 // is evaluated exactly once by one Session::evaluate() call, and pass
 // counts are integers summed in job order -- so yield tallies are
 // bit-identical across worker counts, task placement, cache capacities,
-// warm starts on/off, and flush boundaries (one flush per round or several
-// rounds merged into one job set).  This relies on the YieldProblem
-// session-cache contract (see src/mc/yield_problem.hpp): sample results are
-// pure functions of (x, xi).
+// and flush boundaries (one flush per round or several rounds merged into
+// one job set).  This relies on the YieldProblem session-cache contract
+// (see src/mc/yield_problem.hpp): sample results are pure functions of
+// (x, xi).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/parallel.hpp"
-#include "src/common/results_cache.hpp"
 #include "src/linalg/matrix.hpp"
 #include "src/mc/candidate_yield.hpp"
 #include "src/mc/sim_counter.hpp"
@@ -65,9 +60,6 @@ struct SchedulerOptions {
   /// full cache evicts the least-recently-used session before opening the
   /// replacement.
   int sessions_per_worker = 8;
-  /// Capacity of the warm-start blob store (evicted sessions' serialized
-  /// state, keyed by design-vector hash).  0 disables warm starts.
-  int warm_start_blobs = 256;
 };
 
 class EvalScheduler {
@@ -110,7 +102,7 @@ class EvalScheduler {
   /// Evaluates every queued job as one pool-wide chunked job set, updates
   /// the tallies, and counts batch samples under their enqueue phase (jobs
   /// enqueued with kOther fall back to `phase`); screens always count under
-  /// kScreen.  Scheduler events (cache hits, cold/warm opens) incurred by
+  /// kScreen.  Scheduler events (cache hits, cold opens) incurred by
   /// the flush are added to `sims` as well.  A throwing session open or
   /// evaluation is contained to its own job: the candidate is marked failed
   /// with a FailEvent reason code (and counted in `sims`), its job is
@@ -150,44 +142,20 @@ class EvalScheduler {
                 const std::function<void(YieldProblem::Session&, std::size_t)>&
                     fn);
 
-  // --- warm-start blob persistence (see ROADMAP "persist the blob store"):
-  // repeated optimizer/bench runs over recurring sizings skip the nominal
-  // re-measurements of the previous run.  export/import/forget serialize
-  // against flush() and for_each() on an internal mutex, so a serving
-  // daemon may snapshot the blob store from another thread while a flush
-  // is in flight (the snapshot waits for the job set to drain).  They must
-  // still not race the enqueue() side, which stays single-owner.
+  /// Checkpoint-mode normalization (no pending jobs allowed): drops every
+  /// cached session, leaving the scheduler's caches exactly as a fresh
+  /// scheduler's -- which is what a resumed run starts from -- so a
+  /// checkpointed run and its resume make the same cache/eviction decisions
+  /// (and reopen the same sessions cold, in the same order) from this
+  /// boundary on.
+  void drop_sessions();
 
-  /// Snapshot of the blob store as a ResultsCache-storable map (decimal
-  /// design-hash -> blob).  Live cached sessions are parked first, so the
-  /// hot candidates of the finished run are included, not just the evicted
-  /// ones.
-  ResultMap export_blobs();
-
-  /// Seeds the blob store from a previous export_blobs() snapshot,
-  /// attributing every blob to `problem`.  Safe against stale or foreign
-  /// snapshots: open_warm() implementations validate each blob and fall
-  /// back to a cold open.  Entries beyond the store capacity are dropped.
-  /// Returns the number of blobs imported.
-  std::size_t import_blobs(const YieldProblem& problem, const ResultMap& blobs);
-
-  /// Checkpoint-mode normalization (no pending jobs allowed): parks every
-  /// live session into the blob store, clears the worker caches, and
-  /// renumbers the blob LRU ticks in sorted blob-key order starting from a
-  /// reset tick counter.  Afterwards the
-  /// scheduler's observable state is exactly what a fresh scheduler gets
-  /// from import_blobs() of this store's snapshot -- which is what a
-  /// resumed run does -- so a checkpointed run and its resume see the same
-  /// cache/eviction decisions from this boundary on.  Returns the
-  /// export_blobs()-format snapshot for persisting.
-  ResultMap checkpoint_blobs();
-
-  /// Drops every cached session and parked blob attributed to `problem`.
-  /// Callers that destroy a problem while the scheduler lives on (the
-  /// serving daemon builds one problem per deck job) MUST call this first:
-  /// a later problem allocated at the same address would otherwise adopt
-  /// sessions of the destroyed evaluator.  Typically preceded by
-  /// export_blobs() to keep the warm state as serialized bytes.
+  /// Drops every cached session attributed to `problem`.  Callers that
+  /// destroy a problem while the scheduler lives on (the serving daemon
+  /// builds one problem per deck job) MUST call this first: a later problem
+  /// allocated at the same address would otherwise adopt sessions of the
+  /// destroyed evaluator.  Like enqueue(), single-owner: never call it
+  /// while a flush is in flight.
   void forget_problem(const YieldProblem* problem);
 
   // --- instrumentation (relaxed atomics; exact between flushes) ---
@@ -199,18 +167,13 @@ class EvalScheduler {
   std::size_t peak_sessions() const {
     return peak_sessions_.load(std::memory_order_relaxed);
   }
-  /// Cache misses (sessions constructed, cold + warm) and hits since
+  /// Cache misses (sessions constructed by open()) and hits since
   /// construction.
   long long session_opens() const {
-    return cold_opens_.load(std::memory_order_relaxed) +
-           warm_opens_.load(std::memory_order_relaxed);
+    return cold_opens_.load(std::memory_order_relaxed);
   }
   long long session_hits() const {
     return session_hits_.load(std::memory_order_relaxed);
-  }
-  /// Sessions revived from a warm-start blob (a subset of session_opens()).
-  long long warm_opens() const {
-    return warm_opens_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -239,20 +202,8 @@ class EvalScheduler {
     bool screen = false;
     SimPhase phase = SimPhase::kOther;
   };
-  struct BlobEntry {
-    /// Problem the blob's session belonged to: like the session-adoption
-    /// path, a lookup must never hand one problem's blob to another (two
-    /// problems can share a topology but differ in evaluation options the
-    /// blob's pattern key cannot tell apart).
-    const YieldProblem* problem = nullptr;
-    std::vector<double> blob;
-    std::uint64_t tick = 0;
-  };
 
   YieldProblem::Session* session_for(int worker, CandidateYield& tally);
-  /// Saves an evicted session's warm-start blob into the LRU blob store.
-  void park_blob(std::uint64_t x_hash, const YieldProblem* problem,
-                 const YieldProblem::Session& session);
   /// Samples per task for a job set of `total` samples: about four tasks
   /// per worker, clamped to [1, 64], so one large stage-2 batch still
   /// spreads across the whole pool.
@@ -264,23 +215,14 @@ class EvalScheduler {
   std::vector<PendingJob> pending_;
   std::vector<std::shared_ptr<CandidateYield>> retained_;
 
-  /// Serializes whole job sets (flush, for_each) against blob-store
-  /// maintenance (export/import/forget) from other threads.  Always
-  /// acquired before blob_mutex_.
-  std::mutex maintenance_mutex_;
-  std::mutex blob_mutex_;
-  std::unordered_map<std::uint64_t, BlobEntry> blobs_;
-  std::uint64_t blob_tick_ = 0;
-
   std::atomic<std::size_t> live_sessions_{0};
   std::atomic<std::size_t> peak_sessions_{0};
   std::atomic<long long> cold_opens_{0};
-  std::atomic<long long> warm_opens_{0};
   std::atomic<long long> session_hits_{0};
 };
 
-/// FNV-1a hash of a design vector's bytes; the blob-store key.  Collisions
-/// are tolerable: open_warm() implementations validate the stored x.
+/// FNV-1a hash of a design vector's bytes; the session-adoption lookup key.
+/// Collisions are tolerable: adoption also compares the stored x exactly.
 std::uint64_t design_hash(std::span<const double> x);
 
 }  // namespace moheco::mc

@@ -28,16 +28,15 @@ inline constexpr std::size_t kNumSimPhases = 5;
 enum class SchedEvent : int {
   kSessionHit = 0,   ///< session-cache hits (no construction)
   kSessionOpenCold,  ///< sessions constructed from scratch (full nominal)
-  kSessionOpenWarm,  ///< sessions revived from a warm-start blob
 };
 
-inline constexpr std::size_t kNumSchedEvents = 3;
+inline constexpr std::size_t kNumSchedEvents = 2;
 
 /// Fault-containment events: why a candidate was quarantined during a
 /// flush.  Each quarantine marks exactly one candidate failed with one of
 /// these reason codes (see EvalScheduler); healthy runs record none.
 enum class FailEvent : int {
-  kQuarantineOpen = 0,  ///< session open()/open_warm() threw
+  kQuarantineOpen = 0,  ///< session open() threw
   kQuarantineEval,      ///< evaluate()/evaluate_batch() threw mid-flush
   kQuarantineScreen,    ///< nominal screen evaluation threw
 };
@@ -75,7 +74,6 @@ inline const char* to_string(SchedEvent event) {
   switch (event) {
     case SchedEvent::kSessionHit: return "session_hits";
     case SchedEvent::kSessionOpenCold: return "cold_opens";
-    case SchedEvent::kSessionOpenWarm: return "warm_opens";
   }
   return "?";
 }
@@ -84,14 +82,10 @@ inline const char* to_string(SchedEvent event) {
 struct SchedBreakdown {
   long long session_hits = 0;
   long long cold_opens = 0;
-  long long warm_opens = 0;
-
-  long long session_opens() const { return cold_opens + warm_opens; }
 
   SchedBreakdown& operator+=(const SchedBreakdown& rhs) {
     session_hits += rhs.session_hits;
     cold_opens += rhs.cold_opens;
-    warm_opens += rhs.warm_opens;
     return *this;
   }
 };
@@ -177,7 +171,6 @@ class SimCounter {
     SchedBreakdown b;
     b.session_hits = event_total(SchedEvent::kSessionHit);
     b.cold_opens = event_total(SchedEvent::kSessionOpenCold);
-    b.warm_opens = event_total(SchedEvent::kSessionOpenWarm);
     return b;
   }
 
@@ -212,8 +205,6 @@ class SimCounter {
         sched.session_hits);
     set(events_[static_cast<std::size_t>(SchedEvent::kSessionOpenCold)],
         sched.cold_opens);
-    set(events_[static_cast<std::size_t>(SchedEvent::kSessionOpenWarm)],
-        sched.warm_opens);
     set(fails_[static_cast<std::size_t>(FailEvent::kQuarantineOpen)],
         fail.quarantine_open);
     set(fails_[static_cast<std::size_t>(FailEvent::kQuarantineEval)],

@@ -21,21 +21,9 @@
 //     later -- or to split one candidate's samples across many sessions --
 //     without changing the yield tally.
 //   - Sessions may be destroyed at any time between evaluations (LRU
-//     eviction); construction must be self-contained and repeatable.
-//
-// Warm-start handoff (optional extension of the contract):
-//   - Session::warm_start_blob() may return a serializable snapshot of the
-//     session's expensive construction-time state (for circuit problems:
-//     the nominal DC operating point, the linear-system pattern key, and
-//     the nominal GBW crossing seed).  Empty means "no warm-start support".
-//   - open_warm(x, blob) opens a session seeded from a blob previously
-//     returned by a session of the SAME design point.  Implementations must
-//     validate the blob (the scheduler keys its blob store by a hash of x,
-//     so a collision can hand over another candidate's blob) and silently
-//     fall back to a cold open() when it does not match.  A warm-opened
-//     session must be observationally identical to a cold one: the blob may
-//     only skip recomputation of state the cold path would have derived
-//     deterministically, so sample results stay pure functions of (x, xi).
+//     eviction); construction must be self-contained and repeatable.  An
+//     evicted session is reopened cold: open() is the only way the
+//     scheduler constructs a session.
 #pragma once
 
 #include <memory>
@@ -83,19 +71,18 @@ class YieldProblem {
     }
     /// Preferred evaluate_batch() lane count (see above; unused).
     virtual std::size_t preferred_batch() const { return 1; }
-    /// Serializable warm-start snapshot of the session's construction-time
-    /// state, consumed by open_warm() to revive an evicted session without
-    /// redoing the expensive nominal work.  The default (empty) disables
-    /// warm starts for this problem.
+    /// Nothing in the library calls this or YieldProblem::open_warm(): an
+    /// evicted session is reopened cold through open().  Both stay virtual
+    /// only because perfbench/'s TimedSession and TimedProblem still
+    /// override them.
     virtual std::vector<double> warm_start_blob() const { return {}; }
   };
 
   /// Opens an evaluation session at design x (x is copied).
   virtual std::unique_ptr<Session> open(std::span<const double> x) const = 0;
 
-  /// Opens a session at x seeded from `blob` (a previous session's
-  /// warm_start_blob() for the same x).  Implementations must validate the
-  /// blob and fall back to a cold open on mismatch; the default ignores it.
+  /// Uncalled; kept only for perfbench/ (see Session::warm_start_blob()).
+  /// The default ignores `blob` and opens cold.
   virtual std::unique_ptr<Session> open_warm(
       std::span<const double> x, std::span<const double> blob) const {
     (void)blob;

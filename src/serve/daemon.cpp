@@ -543,21 +543,17 @@ void Daemon::handle_stats(const std::shared_ptr<Connection>& conn) {
     obj.add_int("cancelled", stats_.cancelled);
     obj.add_int("result_hits", stats_.result_hits);
     obj.add_int("result_misses", stats_.result_misses);
-    obj.add_int("warm_hit_jobs", stats_.warm_hit_jobs);
-    obj.add_int("warm_blobs_imported", stats_.warm_blobs_imported);
     obj.add_uint("queued", queued_count_);
     if (running_job_) obj.add_uint("running_job", running_job_->id);
   }
   {
     std::lock_guard<std::mutex> lock(cache_mutex_);
     obj.add_uint("result_cache_entries", result_cache_.size());
-    obj.add_uint("warm_cache_entries", warm_cache_.size());
   }
   obj.add_int("workers", pool_.num_workers());
   obj.add_uint("queue_depth", options_.queue_depth);
   obj.add_uint("live_sessions", runner_.scheduler().live_sessions());
   obj.add_int("session_hits", runner_.scheduler().session_hits());
-  obj.add_int("warm_opens", runner_.scheduler().warm_opens());
   // Introspection extension (docs/protocol.md "stats"): uptime, cache hit
   // rates, build identity, and the full obs::Registry snapshot (latency
   // histograms included).
@@ -566,23 +562,17 @@ void Daemon::handle_stats(const std::shared_ptr<Connection>& conn) {
                   std::chrono::steady_clock::now() - start_time_)
                   .count());
   {
-    long long hits = 0, misses = 0, warm_hits = 0, ran = 0;
+    long long hits = 0, misses = 0;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       hits = stats_.result_hits;
       misses = stats_.result_misses;
-      warm_hits = stats_.warm_hit_jobs;
-      ran = stats_.result_misses;
     }
     obj.add_number("result_hit_rate",
                    hits + misses > 0
                        ? static_cast<double>(hits) /
                              static_cast<double>(hits + misses)
                        : 0.0);
-    obj.add_number("warm_hit_rate",
-                   ran > 0 ? static_cast<double>(warm_hits) /
-                                 static_cast<double>(ran)
-                           : 0.0);
   }
   obj.add_raw("build", obs::build_json());
   obj.add_raw("metrics", obs::registry().snapshot().to_json());
@@ -712,10 +702,6 @@ void Daemon::run_job(const std::shared_ptr<Job>& job) {
     obs::registry().counter("serve.result_misses").add(1);
   }
 
-  const std::string wkey = warm_cache_key(job->spec);
-  const std::optional<ResultMap> warm = warm_lookup(wkey);
-  const bool warm_hit = warm.has_value() && !warm->empty();
-
   // Deadline watchdog: one scoped thread that waits out the budget, then
   // flips the job's cooperative cancel flag.  The optimizer notices at its
   // next generation boundary, so enforcement granularity is one generation
@@ -738,8 +724,7 @@ void Daemon::run_job(const std::shared_ptr<Job>& job) {
     });
   }
 
-  const JobResult result =
-      runner_.run(job->spec, warm_hit ? &*warm : nullptr, &job->cancel);
+  const JobResult result = runner_.run(job->spec, &job->cancel);
 
   if (watchdog.joinable()) {
     {
@@ -756,15 +741,12 @@ void Daemon::run_job(const std::shared_ptr<Job>& job) {
 
   if (result.ok) {
     result_store(rkey, result.json, result.sized_deck);
-    if (!result.warm_blobs.empty()) warm_store(wkey, result.warm_blobs);
     JsonObject obj;
     obj.add_bool("ok", true);
     obj.add_string("op", "result");
     obj.add_uint("job", job->id);
     obj.add_string("state", "done");
     obj.add_bool("cached", false);
-    obj.add_bool("warm_hit", warm_hit);
-    obj.add_uint("warm_blobs_imported", result.warm_blobs_imported);
     obj.add_number("elapsed_ms", elapsed_ms());
     obj.add_raw("result", result.json);
     if (job->spec.want_sized_deck) obj.add_string("sized_deck", result.sized_deck);
@@ -774,21 +756,12 @@ void Daemon::run_job(const std::shared_ptr<Job>& job) {
       job->state = JobState::kDone;
       ++stats_.completed;
       obs::registry().counter("serve.jobs_completed").add(1);
-      if (warm_hit) ++stats_.warm_hit_jobs;
-      stats_.warm_blobs_imported +=
-          static_cast<long long>(result.warm_blobs_imported);
     }
     send_terminal(job, obj.str());
     return;
   }
 
   const bool cancelled = result.error_code == "cancelled" && !deadline_hit;
-  // A cancelled/expired optimize still exported whatever warm state it
-  // built; keep it so the resubmitted job starts warm.
-  if (!result.warm_blobs.empty() &&
-      (cancelled || result.error_code == "cancelled")) {
-    warm_store(wkey, result.warm_blobs);
-  }
   JsonObject obj;
   obj.add_bool("ok", false);
   obj.add_string("op", "result");
@@ -872,37 +845,6 @@ void Daemon::result_store(const std::string& key, const std::string& json,
     disk_cache_->store_text(key + "_json", json);
     if (!sized_deck.empty()) disk_cache_->store_text(key + "_deck", sized_deck);
   }
-}
-
-std::optional<ResultMap> Daemon::warm_lookup(const std::string& key) {
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    auto it = warm_cache_.find(key);
-    if (it != warm_cache_.end()) {
-      it->second.second = ++cache_tick_;
-      return it->second.first;
-    }
-  }
-  if (!disk_cache_) return std::nullopt;
-  std::optional<ResultMap> blobs = disk_cache_->load(key);
-  if (!blobs || blobs->empty()) return std::nullopt;
-  warm_store(key, *blobs);  // promote to memory
-  return blobs;
-}
-
-void Daemon::warm_store(const std::string& key, const ResultMap& blobs) {
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    warm_cache_[key] = {blobs, ++cache_tick_};
-    while (warm_cache_.size() > options_.warm_cache_entries) {
-      auto victim = warm_cache_.begin();
-      for (auto it = warm_cache_.begin(); it != warm_cache_.end(); ++it) {
-        if (it->second.second < victim->second.second) victim = it;
-      }
-      warm_cache_.erase(victim);
-    }
-  }
-  if (disk_cache_) disk_cache_->store(key, blobs);
 }
 
 }  // namespace moheco::serve

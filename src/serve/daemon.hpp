@@ -23,11 +23,10 @@
 // -- which is what makes moheco_cli --detach cheap.
 //
 // Caching: results are memoized under result_cache_key() (deck content
-// hash + every option that shapes the JSON) and warm-start blob snapshots
-// under warm_cache_key() (deck content hash + blob-validity options only),
-// both in memory with LRU eviction and, when a cache path is configured,
-// persisted through ResultsCache so a restarted daemon still answers
-// repeats from cache and warm-starts near misses.
+// hash + every option that shapes the JSON), in memory with LRU eviction
+// and, when a cache path is configured, persisted through ResultsCache so a
+// restarted daemon still answers repeats from cache.  A job that misses the
+// result cache runs from cold sessions.
 #pragma once
 
 #include <atomic>
@@ -63,9 +62,8 @@ struct DaemonOptions {
   /// jobs are rejected.
   std::size_t queue_depth = 64;
   std::size_t result_cache_entries = 256;  ///< in-memory result LRU
-  std::size_t warm_cache_entries = 64;     ///< in-memory warm-blob LRU
-  /// ResultsCache backing path for cross-restart persistence of both
-  /// caches; empty keeps them memory-only.
+  /// ResultsCache backing path for cross-restart persistence of the result
+  /// cache; empty keeps it memory-only.
   std::string cache_path;
   /// Wall-clock deadline applied to submitted jobs whose request does not
   /// set options.deadline_ms itself; an explicit per-job value always wins.
@@ -99,8 +97,6 @@ struct DaemonStats {
   long long cancelled = 0;
   long long result_hits = 0;    ///< jobs answered from the result cache
   long long result_misses = 0;  ///< jobs that had to run
-  long long warm_hit_jobs = 0;  ///< ran, but seeded from the warm-blob cache
-  long long warm_blobs_imported = 0;
 };
 
 class Daemon {
@@ -204,8 +200,6 @@ class Daemon {
                                             bool want_sized_deck);
   void result_store(const std::string& key, const std::string& json,
                     const std::string& sized_deck);
-  std::optional<ResultMap> warm_lookup(const std::string& key);
-  void warm_store(const std::string& key, const ResultMap& blobs);
 
   void reap_finished_threads_locked();
 
@@ -249,9 +243,7 @@ class Daemon {
 
   std::uint64_t cache_tick_ = 0;
   std::unordered_map<std::string, CachedResult> result_cache_;
-  std::unordered_map<std::string, std::pair<ResultMap, std::uint64_t>>
-      warm_cache_;
-  std::mutex cache_mutex_;  ///< caches have their own lock (dispatcher-heavy)
+  std::mutex cache_mutex_;  ///< the cache has its own lock (dispatcher-heavy)
 };
 
 }  // namespace moheco::serve

@@ -1,5 +1,6 @@
 #include "src/serve/job_runner.hpp"
 
+#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -11,6 +12,7 @@
 #include "src/common/json.hpp"
 #include "src/mc/candidate_yield.hpp"
 #include "src/spice/netlist_format.hpp"
+#include "src/stats/distributions.hpp"
 
 namespace moheco::serve {
 
@@ -35,22 +37,19 @@ std::string deck_content_hash(const std::string& deck_text) {
   return hex16(fnv1a64(deck_text));
 }
 
-std::string warm_fingerprint(const JobSpec& spec) {
-  std::ostringstream oss;
-  oss << "warm1 transient=" << (spec.eval.transient ? 1 : 0);
-  return oss.str();
-}
-
 std::string result_fingerprint(const JobSpec& spec, int workers) {
   const core::MohecoOptions& m = spec.moheco;
   std::ostringstream oss;
   // deck_name is part of the fingerprint because it shapes the result JSON
-  // ("deck" field); unlike the warm key, an exact-repeat hit must replay
-  // the SAME bytes the fresh run would emit.
-  oss << "res1 name=" << spec.deck_name
+  // ("deck" field): an exact-repeat hit must replay the SAME bytes the
+  // fresh run would emit.  The tag names the result format: "res2" results
+  // carry yield_ci and no warm-start fields, so rows cached in the "res1"
+  // format miss once instead of being replayed.
+  oss << "res2 name=" << spec.deck_name
       << " mode=" << to_string(spec.mode) << " seed=" << m.seed
       << " sampling=" << stats::to_string(m.estimation.mc.sampling)
-      << " workers=" << workers << ' ' << warm_fingerprint(spec)
+      << " workers=" << workers
+      << " transient=" << (spec.eval.transient ? 1 : 0)
       << " sized=" << (spec.want_sized_deck ? 1 : 0);
   // Fault-containment bits.  ckpt: checkpoint-mode scheduler normalization
   // changes the warm-path event counters in the JSON, so checkpointed and
@@ -74,14 +73,6 @@ std::string result_fingerprint(const JobSpec& spec, int workers) {
         << " cr=" << m.de.cr << " base=" << static_cast<int>(m.de.base);
   }
   return oss.str();
-}
-
-std::string warm_cache_key(const JobSpec& spec) {
-  // Deck CONTENT hash + blob-validity options only: no path component (the
-  // same deck submitted from a different path must hit), and no seed/mode
-  // (warm blobs hold nominal state, valid for any sample stream).
-  return "warmblobs_" + deck_content_hash(spec.deck_text) + "_" +
-         hex16(fnv1a64(warm_fingerprint(spec)));
 }
 
 std::string result_cache_key(const JobSpec& spec, int workers) {
@@ -132,8 +123,16 @@ std::string json_sched_breakdown(const mc::SchedBreakdown& b) {
   JsonObject obj;
   obj.add_int("session_hits", b.session_hits);
   obj.add_int("cold_opens", b.cold_opens);
-  obj.add_int("warm_opens", b.warm_opens);
   return obj.str();
+}
+
+/// 95% Wilson score interval of a yield measured over `samples` samples,
+/// as a JSON [lo,hi] pair.
+std::string json_yield_ci(double yield, long long samples) {
+  const long long passes =
+      std::llround(yield * static_cast<double>(samples));
+  const stats::Interval ci = stats::wilson_interval(passes, samples, 1.96);
+  return "[" + json_number(ci.lo) + "," + json_number(ci.hi) + "]";
 }
 
 /// Per-reason quarantine counters plus the degradation-ladder stages hit
@@ -159,7 +158,7 @@ bool want_fail_breakdown(const mc::FailBreakdown& b,
   return fail::armed() || b.total() > 0 || ladder.total() > 0;
 }
 
-/// Guarantees the scheduler drops every session/blob tied to a job-local
+/// Guarantees the scheduler drops every session tied to a job-local
 /// problem, whatever path run() exits through.
 class ProblemGuard {
  public:
@@ -183,7 +182,7 @@ bool is_cancelled(const std::atomic<bool>* cancel) {
 JobRunner::JobRunner(ThreadPool& pool, mc::SchedulerOptions options)
     : pool_(&pool), scheduler_(pool, options) {}
 
-JobResult JobRunner::run(const JobSpec& spec, const ResultMap* warm_blobs,
+JobResult JobRunner::run(const JobSpec& spec,
                          const std::atomic<bool>* cancel) {
   JobResult out;
   if (is_cancelled(cancel)) {
@@ -198,10 +197,6 @@ JobResult JobRunner::run(const JobSpec& spec, const ResultMap* warm_blobs,
     ProblemGuard guard(scheduler_, problem);
     const circuits::DeckTopology& topology = problem.deck_topology();
     const std::vector<double> nominal = problem.nominal_x();
-
-    if (warm_blobs != nullptr && !warm_blobs->empty()) {
-      out.warm_blobs_imported = scheduler_.import_blobs(problem, *warm_blobs);
-    }
 
     JsonObject json;
     json.add_string("deck", spec.deck_name);
@@ -229,15 +224,17 @@ JobResult JobRunner::run(const JobSpec& spec, const ResultMap* warm_blobs,
       const double yield = mc::reference_yield(
           problem, nominal, spec.estimate_samples, spec.moheco.seed,
           scheduler_, spec.moheco.estimation.mc.sampling, &sims);
+      const mc::FailBreakdown fails = sims.fail_breakdown();
       json.add_number("yield", yield);
+      // A quarantined estimate tallied none of its samples: no interval.
+      if (fails.total() == 0) {
+        json.add_raw("yield_ci", json_yield_ci(yield, spec.estimate_samples));
+      }
       json.add_int("samples", spec.estimate_samples);
-      json.add_int("warm_blobs_imported",
-                   static_cast<long long>(out.warm_blobs_imported));
       json.add_raw("sched_breakdown",
                    json_sched_breakdown(sims.sched_breakdown()));
       const fail::LadderSnapshot ladder =
           fail::ladder_delta(ladder_before, fail::ladder_snapshot());
-      const mc::FailBreakdown fails = sims.fail_breakdown();
       if (want_fail_breakdown(fails, ladder)) {
         json.add_raw("fail_breakdown", json_fail_breakdown(fails, ladder));
       }
@@ -252,7 +249,6 @@ JobResult JobRunner::run(const JobSpec& spec, const ResultMap* warm_blobs,
       core::MohecoOptimizer optimizer(problem, moheco, scheduler_);
       const core::MohecoResult result = optimizer.run();
       if (result.cancelled) {
-        out.warm_blobs = scheduler_.export_blobs();
         out.error_code = "cancelled";
         out.error = "job cancelled after " +
                     std::to_string(result.generations) + " generations";
@@ -261,13 +257,15 @@ JobResult JobRunner::run(const JobSpec& spec, const ResultMap* warm_blobs,
       reported_x = result.best.x;
       json.add_bool("feasible", result.best.fitness.feasible);
       json.add_number("best_yield", result.best.fitness.yield);
+      if (result.best.samples > 0) {
+        json.add_raw("yield_ci", json_yield_ci(result.best.fitness.yield,
+                                               result.best.samples));
+      }
       json.add_number("violation", result.best.fitness.violation);
       json.add_int("best_samples", result.best.samples);
       json.add_int("generations", result.generations);
       json.add_int("total_simulations", result.total_simulations);
       json.add_bool("reached_full_yield", result.reached_full_yield);
-      json.add_int("warm_blobs_imported",
-                   static_cast<long long>(out.warm_blobs_imported));
       json.add_raw("sim_breakdown", json_sim_breakdown(result.sim_breakdown));
       json.add_raw("sched_breakdown",
                    json_sched_breakdown(result.sched_breakdown));
@@ -285,9 +283,6 @@ JobResult JobRunner::run(const JobSpec& spec, const ResultMap* warm_blobs,
       out.sized_deck = spice::to_spice_deck(problem.sized_netlist(reported_x),
                                             topology.name() + " (sized)");
     }
-    // Export before the guard forgets the problem: the blob snapshot is the
-    // only warm state that survives this job.
-    out.warm_blobs = scheduler_.export_blobs();
     out.json = json.str();
     out.ok = true;
     return out;

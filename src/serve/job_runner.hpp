@@ -12,17 +12,12 @@
 // The runner also owns the cache-key discipline:
 //   - deck_content_hash(): FNV-1a over the deck TEXT, never its path, so
 //     the same deck submitted from anywhere hits the same cache rows.
-//   - warm_cache_key(): deck hash + the options that affect warm-start
-//     blob validity (evaluation options only).  Different seeds/modes of
-//     the same deck share warm state -- the "near miss" fast path.
 //   - result_cache_key(): deck hash + every option that shapes the result
 //     JSON, the daemon's exact-repeat fast path.
 //
-// Warm-start handoff across jobs: run() imports the caller's blob
-// snapshot before evaluating and exports the scheduler's blob store
-// afterwards, then forgets the (job-local) problem on the scheduler so a
-// later problem cannot alias its sessions.  The scheduler outlives every
-// job; the blobs travel as serialized bytes through the caller's cache.
+// The scheduler outlives every job; run() forgets the (job-local) problem
+// on it afterwards so a later problem cannot alias its sessions.  Nothing
+// else carries over between jobs: a job's sessions open cold.
 #pragma once
 
 #include <atomic>
@@ -31,7 +26,6 @@
 
 #include "src/circuits/evaluator.hpp"
 #include "src/common/parallel.hpp"
-#include "src/common/results_cache.hpp"
 #include "src/core/moheco.hpp"
 #include "src/mc/eval_scheduler.hpp"
 
@@ -71,25 +65,17 @@ struct JobResult {
   /// The moheco_cli result JSON object (one line, no trailing newline).
   std::string json;
   std::string sized_deck;  ///< filled when want_sized_deck and ok
-  std::size_t warm_blobs_imported = 0;
-  /// Post-run snapshot of the scheduler's warm-start blob store for this
-  /// job's problem; the caller persists it under warm_cache_key().
-  ResultMap warm_blobs;
 };
 
 /// Hex FNV-1a of the deck text -- the identity of a workload.
 std::string deck_content_hash(const std::string& deck_text);
 
-/// Canonical description of the options that affect warm-start blob
-/// validity (evaluation options; NOT seed, mode, or sample counts).
-std::string warm_fingerprint(const JobSpec& spec);
 /// Canonical description of everything that shapes the result JSON.
 /// `workers` is the effective pool width (it shows up in the scheduler
 /// breakdown fields, so cached JSON is attributed to its pool shape).
 std::string result_fingerprint(const JobSpec& spec, int workers);
 
-/// ResultsCache keys built from the fingerprints above.
-std::string warm_cache_key(const JobSpec& spec);
+/// ResultsCache key built from the fingerprint above.
 std::string result_cache_key(const JobSpec& spec, int workers);
 
 class JobRunner {
@@ -100,13 +86,11 @@ class JobRunner {
   /// them one at a time, each using the whole pool).
   explicit JobRunner(ThreadPool& pool, mc::SchedulerOptions options = {});
 
-  /// Executes one job start to finish.  `warm_blobs`, when non-null, seeds
-  /// the scheduler's blob store first (a previous run's JobResult::
-  /// warm_blobs for the same warm_cache_key()).  `cancel`, when non-null,
-  /// is polled at flush boundaries; a cancelled job returns ok=false with
-  /// error_code "cancelled".  Never throws: every failure is reported
-  /// through JobResult.
-  JobResult run(const JobSpec& spec, const ResultMap* warm_blobs = nullptr,
+  /// Executes one job start to finish.  `cancel`, when non-null, is polled
+  /// at flush boundaries; a cancelled job returns ok=false with error_code
+  /// "cancelled".  Never throws: every failure is reported through
+  /// JobResult.
+  JobResult run(const JobSpec& spec,
                 const std::atomic<bool>* cancel = nullptr);
 
   ThreadPool& pool() { return *pool_; }

@@ -23,24 +23,6 @@ DcSolver::DcSolver(const Netlist& netlist, SolverBackend)
   sys_.reset(layout_.size());
 }
 
-std::uint64_t DcSolver::pattern_key() const {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a over structure counts
-  const auto mix = [&h](std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xFFu;
-      h *= 1099511628211ULL;
-    }
-  };
-  mix(layout_.size());
-  mix(layout_.num_nodes());
-  mix(netlist_.mosfets().size());
-  mix(netlist_.resistors().size());
-  mix(netlist_.vsources().size());
-  mix(netlist_.isources().size());
-  mix(netlist_.vcvs().size());
-  return h;
-}
-
 void stamp_linear_static(const Netlist& netlist, const MnaLayout& layout,
                          Stamper<double>& stamper, double gmin,
                          double source_scale, double time) {

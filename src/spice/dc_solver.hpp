@@ -6,7 +6,6 @@
 // status, not an exception; the yield estimator counts such samples as fails.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "src/spice/mna.hpp"
@@ -88,14 +87,6 @@ class DcSolver {
 
   const OperatingPoint& op() const { return op_; }
   const MnaLayout& layout() const { return layout_; }
-
-  /// Structural fingerprint of the assembled system (unknown layout, device
-  /// counts).  A serialized warm-start solution is only valid for a solver
-  /// with the same key: the evaluator embeds it in its warm-start blob and
-  /// rejects blobs whose key does not match, so a blob captured under a
-  /// different netlist structure can never seed a Newton iteration with a
-  /// mis-shaped vector.
-  std::uint64_t pattern_key() const;
 
   /// Newton iterations used by the last solve (across all continuation
   /// stages); exposed for diagnostics and the micro benches.

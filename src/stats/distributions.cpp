@@ -1,5 +1,6 @@
 #include "src/stats/distributions.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/common/error.hpp"
@@ -55,11 +56,11 @@ Interval wilson_interval(long long k, long long n, double z) {
   const double center = (p + z2 / (2.0 * nn)) / denom;
   const double half =
       z * std::sqrt(p * (1.0 - p) / nn + z2 / (4.0 * nn * nn)) / denom;
+  // The score interval always contains p; keep that exact under rounding,
+  // so k == n gives hi == 1 and k == 0 gives lo == 0.
   Interval ci;
-  ci.lo = center - half;
-  ci.hi = center + half;
-  if (ci.lo < 0.0) ci.lo = 0.0;
-  if (ci.hi > 1.0) ci.hi = 1.0;
+  ci.lo = std::clamp(center - half, 0.0, p);
+  ci.hi = std::clamp(center + half, p, 1.0);
   return ci;
 }
 

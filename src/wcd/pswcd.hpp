@@ -66,7 +66,7 @@ class PswcdOptimizer {
   /// All evaluations (nominal, pilot sweep, worst-case verification) run
   /// through the scheduler's cached sessions: chunked claiming spreads the
   /// pilot sample across the pool, and a re-analysis of a design point
-  /// whose session was evicted revives it from the warm-start blob store.
+  /// whose session is still cached skips the nominal re-measurement.
   mc::EvalScheduler scheduler_;
   mc::SimCounter sims_;
 };

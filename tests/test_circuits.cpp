@@ -241,73 +241,5 @@ TEST(CircuitYield, AdapterScreensAndScores) {
   EXPECT_GT(r.violation, 0.0);
 }
 
-TEST(CircuitYield, WarmStartBlobRoundTripIsBitIdentical) {
-  // A session revived from its warm-start blob must be observationally
-  // identical to a cold one: same nominal performance, same sample
-  // results, bit for bit -- the mc::EvalScheduler relies on this to evict
-  // and revive sessions without changing yield tallies.
-  AmplifierEvaluator evaluator(make_five_transistor_ota());
-  const std::vector<double> x = five_t_x0();
-  AmplifierEvaluator::Session cold(evaluator, x);
-  const std::vector<double> blob = cold.warm_start();
-  ASSERT_FALSE(blob.empty());
-  AmplifierEvaluator::Session warm(evaluator, x, blob);
-
-  const Performance cn = cold.nominal();
-  const Performance wn = warm.nominal();
-  EXPECT_EQ(cn.a0_db, wn.a0_db);
-  EXPECT_EQ(cn.gbw, wn.gbw);
-  EXPECT_EQ(cn.pm_deg, wn.pm_deg);
-  EXPECT_EQ(cn.power, wn.power);
-  EXPECT_EQ(cn.offset, wn.offset);
-  EXPECT_EQ(cn.sat_margin, wn.sat_margin);
-
-  const std::size_t dim = evaluator.process().dim();
-  const linalg::MatrixD xi =
-      stats::sample_standard_normal(stats::SamplingMethod::kPMC, 8, dim, 77);
-  for (std::size_t i = 0; i < 8; ++i) {
-    const Performance a = cold.evaluate({xi.row(i), dim});
-    const Performance b = warm.evaluate({xi.row(i), dim});
-    EXPECT_EQ(a.valid, b.valid);
-    EXPECT_EQ(a.a0_db, b.a0_db);
-    EXPECT_EQ(a.gbw, b.gbw);
-    EXPECT_EQ(a.pm_deg, b.pm_deg);
-    EXPECT_EQ(a.power, b.power);
-    EXPECT_EQ(a.sat_margin, b.sat_margin);
-  }
-}
-
-TEST(CircuitYield, WarmStartBlobRejectsForeignDesigns) {
-  // A blob serialized at one design point must not seed a session at
-  // another (the scheduler's blob store is keyed by a hash of x, so a
-  // collision could hand over a foreign blob): the mismatch is detected
-  // and the cold path taken, keeping the nominal measurement correct.
-  AmplifierEvaluator evaluator(make_five_transistor_ota());
-  const std::vector<double> xa = five_t_x0();
-  std::vector<double> xb = five_t_x0();
-  xb[0] *= 1.1;
-  AmplifierEvaluator::Session session_a(evaluator, xa);
-  const std::vector<double> blob_a = session_a.warm_start();
-  ASSERT_FALSE(blob_a.empty());
-
-  AmplifierEvaluator::Session cold_b(evaluator, xb);
-  AmplifierEvaluator::Session poisoned_b(evaluator, xb, blob_a);
-  EXPECT_EQ(cold_b.nominal().gbw, poisoned_b.nominal().gbw);
-  EXPECT_EQ(cold_b.nominal().power, poisoned_b.nominal().power);
-  // Truncated / corrupt blobs also fall back to the cold path.
-  AmplifierEvaluator::Session truncated_b(
-      evaluator, xb, std::span<const double>(blob_a).first(4));
-  EXPECT_EQ(cold_b.nominal().gbw, truncated_b.nominal().gbw);
-
-  // The problem-level adapter wires the same round trip through the
-  // mc::YieldProblem interface.
-  CircuitYieldProblem problem(make_five_transistor_ota());
-  auto generic = problem.open(xa);
-  const std::vector<double> generic_blob = generic->warm_start_blob();
-  ASSERT_FALSE(generic_blob.empty());
-  auto revived = problem.open_warm(xa, generic_blob);
-  EXPECT_EQ(generic->evaluate({}).pass, revived->evaluate({}).pass);
-}
-
 }  // namespace
 }  // namespace moheco::circuits

@@ -58,6 +58,9 @@ TEST(CliExitCodes, UsageErrorsExitTwoAndNameTheFlag) {
   EXPECT_EQ(run(cli_path() + " " + example_deck() + " --backend=dense", &out),
             2);
   EXPECT_NE(out.find("--backend=dense"), std::string::npos) << out;
+  EXPECT_EQ(run(cli_path() + " " + example_deck() + " --warm-cache=x", &out),
+            2);
+  EXPECT_NE(out.find("--warm-cache=x"), std::string::npos) << out;
   // No deck and no control op: usage, not a crash.
   EXPECT_EQ(run(cli_path(), &out), 2);
   // Inconsistent serving flags: --op without --connect, --job without --op.
@@ -107,6 +110,10 @@ TEST(DaemonExitCodes, UsageErrorsExitTwo) {
   EXPECT_EQ(run(daemon_path() + " --queue-depth=0 --tcp=0", &out), 2);
   EXPECT_EQ(run(daemon_path() + " --batch=8 --tcp=0", &out), 2);
   EXPECT_NE(out.find("--batch=8"), std::string::npos) << out;
+  // No listener either: a daemon that accepted the flag would still exit
+  // 2, but with "no listener" instead of naming the flag.
+  EXPECT_EQ(run(daemon_path() + " --warm-cache=4", &out), 2);
+  EXPECT_NE(out.find("--warm-cache=4"), std::string::npos) << out;
 }
 
 }  // namespace

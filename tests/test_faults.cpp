@@ -117,10 +117,10 @@ TEST(Failpoint, ProbTriggerIsDeterministicPerSeed) {
 
 TEST(Failpoint, ProbZeroNeverFiresProbOneAlwaysFires) {
   FailGuard guard;
-  fail::arm("tran_stall=prob:0,warm_blob=prob:1");
+  fail::arm("tran_stall=prob:0,session_open=prob:1");
   for (int i = 0; i < 50; ++i) {
     EXPECT_FALSE(fail::should_fail(fail::Site::kTranStall));
-    EXPECT_TRUE(fail::should_fail(fail::Site::kWarmBlob));
+    EXPECT_TRUE(fail::should_fail(fail::Site::kSessionOpen));
   }
 }
 
@@ -128,6 +128,8 @@ TEST(Failpoint, RejectsBadSpecs) {
   FailGuard guard;
   EXPECT_THROW(fail::arm("bogus_site=prob:0.5"), InvalidArgument);
   EXPECT_THROW(fail::arm("batch_refactor=prob:0.1"), InvalidArgument);
+  // No warm-start blob site: every session opens cold.
+  EXPECT_THROW(fail::arm("warm_blob=prob:1"), InvalidArgument);
   EXPECT_THROW(fail::arm("newton=prob:1.5"), InvalidArgument);
   EXPECT_THROW(fail::arm("newton=prob:nope"), InvalidArgument);
   EXPECT_THROW(fail::arm("newton=hit:0"), InvalidArgument);
@@ -148,8 +150,6 @@ TEST(FailureLadder, SnapshotDeltaAttributesCounts) {
   EXPECT_EQ(delta.counts[static_cast<int>(fail::Ladder::kSparseToDense)], 2u);
   EXPECT_EQ(delta.counts[static_cast<int>(fail::Ladder::kSampleInfeasible)],
             1u);
-  EXPECT_EQ(delta.counts[static_cast<int>(fail::Ladder::kWarmBlobRejected)],
-            0u);
   EXPECT_EQ(delta.total(), 3u);
   EXPECT_STREQ(fail::ladder_name(fail::Ladder::kSparseToDense),
                "sparse_to_dense");
@@ -297,10 +297,9 @@ TEST(Quarantine, SessionOpenFailpointMarksOnlyThatCandidate) {
 
 TEST(Quarantine, OptimizerCompletesWithFailpointsArmed) {
   FailGuard guard;
-  // Every session-open has a 20% chance to throw, and every warm-blob
-  // revival is "corrupt".  The run must still complete end to end and
-  // report its quarantine counters.
-  fail::arm("seed=5,session_open=prob:0.2,warm_blob=prob:1");
+  // Every session-open has a 20% chance to throw.  The run must still
+  // complete end to end and report its quarantine counters.
+  fail::arm("seed=5,session_open=prob:0.2");
   const mc::QuadraticYieldProblem problem(3, 6, 1.0, 0.25, 2.0);
   core::MohecoOptions options;
   options.population = 10;
@@ -348,7 +347,6 @@ TEST(Checkpoint, SaveLoadRoundTripsEveryField) {
   ck.sims.stage2 = 20;
   ck.sched.session_hits = 5;
   ck.sched.cold_opens = 4;
-  ck.sched.warm_opens = 6;
   ck.fails.quarantine_open = 1;
   core::Checkpoint::MemberState m;
   m.x = {0.25, -0.5, 0.75};
@@ -368,7 +366,6 @@ TEST(Checkpoint, SaveLoadRoundTripsEveryField) {
   ck.members.push_back(m);
   ck.members.push_back(core::Checkpoint::MemberState{});
   ck.members.back().x = {1.0, 2.0, 3.0};
-  ck.blobs["12345"] = {1.0, 2.5, -0.125};
 
   core::save_checkpoint(dir.path(), ck);
   const std::optional<core::Checkpoint> loaded =
@@ -394,7 +391,6 @@ TEST(Checkpoint, SaveLoadRoundTripsEveryField) {
   EXPECT_EQ(loaded->sims.stage2, ck.sims.stage2);
   EXPECT_EQ(loaded->sched.session_hits, ck.sched.session_hits);
   EXPECT_EQ(loaded->sched.cold_opens, ck.sched.cold_opens);
-  EXPECT_EQ(loaded->sched.warm_opens, ck.sched.warm_opens);
   EXPECT_EQ(loaded->fails.quarantine_open, ck.fails.quarantine_open);
   ASSERT_EQ(loaded->members.size(), 2u);
   EXPECT_EQ(loaded->members[0].x, m.x);
@@ -403,8 +399,6 @@ TEST(Checkpoint, SaveLoadRoundTripsEveryField) {
   EXPECT_EQ(loaded->members[0].tally_failed, m.tally_failed);
   EXPECT_EQ(loaded->members[0].fail_reason, m.fail_reason);
   EXPECT_EQ(loaded->members[1].x, ck.members[1].x);
-  ASSERT_EQ(loaded->blobs.size(), 1u);
-  EXPECT_EQ(loaded->blobs.at("12345"), ck.blobs.at("12345"));
 }
 
 TEST(Checkpoint, MissingFileMeansFreshStart) {
@@ -475,6 +469,48 @@ TEST(Checkpoint, RejectsAVersionOneFile) {
     FAIL() << "a version-1 checkpoint loaded";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("unsupported version 1"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Checkpoint, RejectsAVersionTwoFile) {
+  // Version 2 carried a warm-open count on its `sched` line and trailing
+  // `blob` lines (the scheduler's warm-start blob store).  A loader must
+  // refuse such a file by its version instead of misreading it.
+  TempDir dir;
+  core::Checkpoint ck;
+  ck.dim = 1;
+  ck.population = 1;
+  ck.members.assign(1, core::Checkpoint::MemberState{});
+  ck.members[0].x = {0.5};
+  core::save_checkpoint(dir.path(), ck);
+  std::string text;
+  {
+    std::ifstream in(dir.file("checkpoint.txt"));
+    std::stringstream whole;
+    whole << in.rdbuf();
+    text = whole.str();
+  }
+  const std::string header =
+      "moheco-ckpt " + std::to_string(core::kCheckpointVersion) + "\n";
+  ASSERT_EQ(text.rfind(header, 0), 0u);
+  const std::size_t sched_end = text.find('\n', text.find("\nsched "));
+  ASSERT_NE(sched_end, std::string::npos);
+  text.insert(sched_end, " 0");
+  const std::size_t end_line = text.rfind("end\n");
+  ASSERT_NE(end_line, std::string::npos);
+  text.insert(end_line, "blob 12345 3 1 2.5 -0.125\n");
+  text.replace(0, header.size(), "moheco-ckpt 2\n");
+  {
+    std::ofstream out(dir.file("checkpoint.txt"), std::ios::trunc);
+    out << text;
+  }
+  try {
+    core::load_checkpoint(dir.path());
+    FAIL() << "a version-2 checkpoint loaded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version 2"),
               std::string::npos)
         << e.what();
   }

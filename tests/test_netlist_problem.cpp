@@ -2,22 +2,16 @@
 // one evaluation pipeline.  The committed examples/five_t_ota.cir is the
 // data twin of circuits::make_five_transistor_ota(); these tests prove the
 // identity all the way from netlist construction to Monte-Carlo tallies and
-// whole optimizer runs, plus the deck-problem session/warm-blob contract
-// and the scheduler's cross-run blob persistence.
+// whole optimizer runs.
 #include "src/circuits/netlist_problem.hpp"
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
 #include "src/circuits/circuit_yield.hpp"
 #include "src/circuits/topology.hpp"
-#include "src/common/results_cache.hpp"
 #include "src/core/moheco.hpp"
 #include "src/mc/candidate_yield.hpp"
 #include "src/mc/eval_scheduler.hpp"
@@ -140,66 +134,6 @@ TEST(NetlistYieldProblem, OptimizerRunsAreIdentical) {
   EXPECT_EQ(a.best.fitness.yield, b.best.fitness.yield);
   EXPECT_EQ(a.best.samples, b.best.samples);
   EXPECT_EQ(a.total_simulations, b.total_simulations);
-}
-
-TEST(NetlistYieldProblem, WarmStartBlobRoundTrip) {
-  NetlistYieldProblem problem(example_deck());
-  const std::vector<double> x = problem.nominal_x();
-  const auto cold = problem.open(x);
-  const std::vector<double> blob = cold->warm_start_blob();
-  ASSERT_FALSE(blob.empty());
-  const auto warm = problem.open_warm(x, blob);
-
-  stats::Rng rng(123);
-  std::vector<double> xi(problem.noise_dim());
-  for (int rep = 0; rep < 5; ++rep) {
-    for (double& v : xi) v = rng.normal();
-    const mc::SampleResult a = warm->evaluate(xi);
-    const mc::SampleResult b = problem.open(x)->evaluate(xi);
-    EXPECT_EQ(a.pass, b.pass);
-    EXPECT_EQ(a.violation, b.violation);
-  }
-
-  // A foreign blob (different design point) must degrade to a cold open,
-  // not poison the session.
-  std::vector<double> y = x;
-  y[0] *= 1.5;
-  const auto fallback = problem.open_warm(y, blob);
-  const mc::SampleResult a = fallback->evaluate({});
-  const mc::SampleResult b = problem.open(y)->evaluate({});
-  EXPECT_EQ(a.pass, b.pass);
-}
-
-TEST(NetlistYieldProblem, BlobStorePersistsAcrossSchedulers) {
-  // The ResultsCache-backed warm-start spill: a second scheduler seeded
-  // from the first one's export revives sessions instead of re-running the
-  // nominal measurement, with identical estimates.
-  NetlistYieldProblem problem(example_deck());
-  const std::vector<double> x = problem.nominal_x();
-  ThreadPool pool(2);
-
-  mc::EvalScheduler first(pool);
-  const double yield_first = mc::reference_yield(problem, x, 200, 11, first);
-  const ResultMap exported = first.export_blobs();
-  ASSERT_FALSE(exported.empty());
-
-  // Round-trip the snapshot through a ResultsCache file, as the CLI does.
-  char dir[] = "/tmp/moheco_blob_test_XXXXXX";
-  ASSERT_NE(::mkdtemp(dir), nullptr);
-  const ResultsCache cache{std::string(dir)};
-  cache.store("blobs", exported);
-  const auto loaded = cache.load("blobs");
-  ASSERT_TRUE(loaded.has_value());
-
-  mc::EvalScheduler second(pool);
-  EXPECT_EQ(second.import_blobs(problem, *loaded), exported.size());
-  const double yield_second = mc::reference_yield(problem, x, 200, 11, second);
-  EXPECT_EQ(yield_first, yield_second);
-  EXPECT_GT(second.warm_opens(), 0);
-  EXPECT_EQ(second.session_opens(), second.warm_opens());  // no cold opens
-
-  std::remove((std::string(dir) + "/blobs.txt").c_str());
-  ::rmdir(dir);
 }
 
 TEST(NetlistYieldProblem, RejectsDecksMissingProbes) {

@@ -1,6 +1,7 @@
 // Generation-wide EvalScheduler: scheduling determinism, equivalence with
-// per-candidate refinement, session-cache bounds and accounting, warm-start
-// blob round-trips, the pipelined optimizer loop, and the ThreadPool.
+// per-candidate refinement, session-cache bounds and accounting, cold
+// reopening of evicted sessions, the pipelined optimizer loop, and the
+// ThreadPool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -453,7 +454,6 @@ TEST(EvalScheduler, SessionAccountingMatchesSchedBreakdown) {
     ThreadPool pool(workers);
     SchedulerOptions options;
     options.sessions_per_worker = 4;
-    options.warm_start_blobs = 0;
     EvalScheduler scheduler(pool, options);
     SimCounter sims;
     std::vector<std::unique_ptr<CandidateYield>> owners;
@@ -483,9 +483,8 @@ TEST(EvalScheduler, SessionAccountingMatchesSchedBreakdown) {
     // Every task looks its session up once (a hit or an open), and the
     // flushes' SimCounter saw exactly the events the scheduler counted.
     EXPECT_EQ(out->opens + out->hits, tasks);
-    EXPECT_EQ(out->opens, out->sched.cold_opens + out->sched.warm_opens);
+    EXPECT_EQ(out->opens, out->sched.cold_opens);
     EXPECT_EQ(out->hits, out->sched.session_hits);
-    EXPECT_EQ(out->sched.warm_opens, 0);  // blob store off
   }
   // 16 candidates cycle through a 4-session LRU: one cold open per
   // candidate per round, its second task hits the open session.
@@ -494,70 +493,15 @@ TEST(EvalScheduler, SessionAccountingMatchesSchedBreakdown) {
   EXPECT_EQ(pooled.tallies, serial.tallies);
 }
 
-// --- Warm-start blob round-trips ------------------------------------------
-
-/// Warm-start-capable problem: open() is the "expensive" path, open_warm()
-/// validates {1.0, x, margin} blobs (rejecting foreign designs) and counts
-/// revivals.  Results are pure functions of (x, xi) either way.
-class BlobProblem final : public YieldProblem {
- public:
-  std::size_t num_design_vars() const override { return 1; }
-  double lower_bound(std::size_t) const override { return -2.0; }
-  double upper_bound(std::size_t) const override { return 2.0; }
-  std::size_t noise_dim() const override { return 2; }
-
-  class BlobSession final : public Session {
-   public:
-    BlobSession(double x, double margin) : x_(x), margin_(margin) {}
-    SampleResult evaluate(std::span<const double> xi) override {
-      SampleResult r;
-      r.pass = xi.empty() || margin_ + 0.5 * (xi[0] + xi[1]) >= 0.0;
-      return r;
-    }
-    std::vector<double> warm_start_blob() const override {
-      return {1.0, x_, margin_};
-    }
-
-   private:
-    double x_;
-    double margin_;
-  };
-
-  std::unique_ptr<Session> open(std::span<const double> x) const override {
-    cold_.fetch_add(1, std::memory_order_relaxed);
-    return std::make_unique<BlobSession>(x[0], 1.0 - x[0] * x[0]);
-  }
-
-  std::unique_ptr<Session> open_warm(
-      std::span<const double> x,
-      std::span<const double> blob) const override {
-    if (blob.size() == 3 && blob[0] == 1.0 && blob[1] == x[0]) {
-      warm_.fetch_add(1, std::memory_order_relaxed);
-      return std::make_unique<BlobSession>(x[0], blob[2]);
-    }
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    return open(x);
-  }
-
-  long long cold() const { return cold_.load(); }
-  long long warm() const { return warm_.load(); }
-  long long rejected() const { return rejected_.load(); }
-
- private:
-  mutable std::atomic<long long> cold_{0};
-  mutable std::atomic<long long> warm_{0};
-  mutable std::atomic<long long> rejected_{0};
-};
-
-TEST(EvalScheduler, EvictedSessionsReviveFromBlobStore) {
+TEST(EvalScheduler, EvictedSessionsReopenColdWithIdenticalTallies) {
   // Single worker + capacity 1: candidates A and B alternate and every
-  // round evicts the other's session, so the open sequence is exactly
-  // deterministic: 2 cold opens in round 0, warm revivals ever after.
-  auto run_rounds = [](const BlobProblem& problem, int capacity, int blobs) {
+  // refine evicts the other's session, so each one reopens cold through
+  // open().  The tallies match a cache large enough to never evict.
+  auto run_rounds = [](int capacity) {
+    SpinCountProblem problem(/*open_spin=*/0, /*eval_spin=*/0);
     ThreadPool pool(1);
     SchedulerOptions options;
     options.sessions_per_worker = capacity;
-    options.warm_start_blobs = blobs;
     EvalScheduler scheduler(pool, options);
     SimCounter sims;
     std::vector<std::unique_ptr<CandidateYield>> owners;
@@ -566,181 +510,22 @@ TEST(EvalScheduler, EvictedSessionsReviveFromBlobStore) {
     owners.push_back(std::make_unique<CandidateYield>(
         problem, std::vector<double>{-0.4}, 12));
     for (int round = 0; round < 3; ++round) {
-      for (auto& c : owners) {
-        scheduler.refine(*c, 50, sims, McOptions{});
-      }
+      for (auto& c : owners) scheduler.refine(*c, 50, sims, McOptions{});
     }
     struct Out {
       TallySnapshot tallies;
-      long long warm_opens;
+      long long opens;
       SchedBreakdown sched;
     };
-    return Out{snapshot(owners), scheduler.warm_opens(),
-               sims.sched_breakdown()};
+    return Out{snapshot(owners), problem.opens(), sims.sched_breakdown()};
   };
 
-  BlobProblem evicting;
-  const auto revived = run_rounds(evicting, /*capacity=*/1, /*blobs=*/8);
-  // Round 0 builds both sessions cold; the remaining 2 * 2 misses revive
-  // from the blob store.
-  EXPECT_EQ(evicting.cold(), 2);
-  EXPECT_EQ(evicting.warm(), 4);
-  EXPECT_EQ(evicting.rejected(), 0);
-  EXPECT_EQ(revived.warm_opens, 4);
-  EXPECT_EQ(revived.sched.cold_opens, 2);
-  EXPECT_EQ(revived.sched.warm_opens, 4);
-
-  // evict + revive == never evicted: identical tallies with a cache large
-  // enough to never evict...
-  BlobProblem roomy;
-  const auto pinned = run_rounds(roomy, /*capacity=*/2, /*blobs=*/8);
-  EXPECT_EQ(roomy.warm(), 0);
-  EXPECT_EQ(pinned.tallies, revived.tallies);
-
-  // ...and with warm starts disabled entirely.
-  BlobProblem cold_only;
-  const auto cold = run_rounds(cold_only, /*capacity=*/1, /*blobs=*/0);
-  EXPECT_EQ(cold_only.warm(), 0);
-  EXPECT_EQ(cold_only.cold(), 6);
-  EXPECT_EQ(cold.tallies, revived.tallies);
-}
-
-TEST(EvalScheduler, ForeignBlobsAreRejected) {
-  // A blob-store hash collision hands candidate B a blob serialized for A;
-  // open_warm must fall back to a cold open rather than trust it.
-  BlobProblem problem;
-  const std::vector<double> xa = {0.3};
-  const std::vector<double> xb = {-0.7};
-  const std::vector<double> blob_a =
-      problem.open(xa)->warm_start_blob();
-  auto session = problem.open_warm(xb, blob_a);
-  EXPECT_EQ(problem.rejected(), 1);
-  // The fallback session behaves exactly like a cold one for B.
-  const double xi_fail[] = {-1.2, -1.4};
-  EXPECT_EQ(session->evaluate({}).pass, problem.open(xb)->evaluate({}).pass);
-  EXPECT_EQ(session->evaluate(xi_fail).pass,
-            problem.open(xb)->evaluate(xi_fail).pass);
-}
-
-TEST(EvalScheduler, ExportBlobsFromAnotherThreadDuringFlush) {
-  // The serving daemon persists warm state by snapshotting the blob store
-  // from its dispatcher thread while pool workers may still be draining a
-  // job set.  export_blobs() serializes against flush() on the maintenance
-  // mutex, so hammering it concurrently must neither crash (the sanitize
-  // CI job watches this test) nor perturb the tallies, and every snapshot
-  // it returns must be internally consistent -- no torn blobs.
-  auto run = [](bool concurrent_export) {
-    BlobProblem problem;
-    ThreadPool pool(4);
-    SchedulerOptions options;
-    options.sessions_per_worker = 1;  // constant evictions -> blob churn
-    options.warm_start_blobs = 32;
-    EvalScheduler scheduler(pool, options);
-    SimCounter sims;
-    std::vector<std::unique_ptr<CandidateYield>> owners;
-    for (int i = 0; i < 8; ++i) {
-      owners.push_back(std::make_unique<CandidateYield>(
-          problem, std::vector<double>{0.2 * i - 0.7},
-          stats::derive_seed(77, static_cast<std::uint64_t>(i))));
-    }
-    std::atomic<bool> done{false};
-    std::atomic<long long> snapshots{0};
-    std::thread exporter;
-    if (concurrent_export) {
-      exporter = std::thread([&] {
-        while (!done.load(std::memory_order_relaxed)) {
-          const ResultMap snap = scheduler.export_blobs();
-          for (const auto& [key, blob] : snap) {
-            EXPECT_EQ(blob.size(), 3u) << "torn blob under key " << key;
-            if (blob.size() == 3) {
-              EXPECT_EQ(blob[0], 1.0);
-            }
-          }
-          snapshots.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-      // Start handshake: the flushes can finish before a loaded host ever
-      // schedules the exporter, so wait for its first snapshot.
-      while (snapshots.load(std::memory_order_relaxed) == 0) {
-        std::this_thread::yield();
-      }
-    }
-    for (int round = 0; round < 20; ++round) {
-      for (auto& c : owners) scheduler.enqueue(*c, 40, McOptions{});
-      scheduler.flush(sims);
-    }
-    done.store(true);
-    if (exporter.joinable()) exporter.join();
-    if (concurrent_export) {
-      EXPECT_GT(snapshots.load(), 0);
-    }
-    return snapshot(owners);
-  };
-
-  const auto quiet = run(false);
-  const auto hammered = run(true);
-  EXPECT_EQ(quiet, hammered);
-}
-
-TEST(EvalScheduler, CorruptedBlobImportFallsBackCold) {
-  // A restarted daemon may hand import_blobs() a snapshot that was
-  // truncated on disk or written by a different build.  Unparseable
-  // entries are skipped at import; parseable-but-bogus blobs must be
-  // rejected by open_warm() and fall back to cold opens, with tallies
-  // identical to a never-warmed run.
-  SchedulerOptions options;
-  options.sessions_per_worker = 1;
-  options.warm_start_blobs = 8;
-
-  BlobProblem donor;
-  ResultMap snap;
-  {
-    ThreadPool pool(1);
-    EvalScheduler scheduler(pool, options);
-    SimCounter sims;
-    CandidateYield a(donor, {0.3}, 11);
-    CandidateYield b(donor, {-0.4}, 12);
-    scheduler.refine(a, 50, sims, McOptions{});
-    scheduler.refine(b, 50, sims, McOptions{});
-    snap = scheduler.export_blobs();
-  }
-  ASSERT_EQ(snap.size(), 2u);
-  // Corrupt it: truncate one blob, flip the other's magic, and add the
-  // kinds of garbage a half-written ResultsCache file could yield.
-  auto it = snap.begin();
-  it->second = {1.0};        // truncated: wrong blob size
-  (++it)->second[0] = 2.0;   // wrong magic for this problem
-  snap["not-a-design-hash"] = {1.0, 0.0, 0.0};  // foreign key: skipped
-  snap["123456"] = {};                          // empty blob: skipped
-
-  BlobProblem fresh;
-  ThreadPool pool(1);
-  EvalScheduler scheduler(pool, options);
-  // Both corrupt-but-parseable blobs import; the junk rows do not.
-  EXPECT_EQ(scheduler.import_blobs(fresh, snap), 2u);
-  SimCounter sims;
-  CandidateYield a(fresh, {0.3}, 11);
-  CandidateYield b(fresh, {-0.4}, 12);
-  scheduler.refine(a, 50, sims, McOptions{});
-  scheduler.refine(b, 50, sims, McOptions{});
-  // open_warm() saw both corrupt blobs, trusted neither, and opened cold.
-  EXPECT_EQ(fresh.warm(), 0);
-  EXPECT_EQ(fresh.rejected(), 2);
-  EXPECT_EQ(fresh.cold(), 2);
-
-  // Cold reference run: identical tallies.
-  BlobProblem reference;
-  ThreadPool ref_pool(1);
-  EvalScheduler ref_scheduler(ref_pool, options);
-  SimCounter ref_sims;
-  CandidateYield ra(reference, {0.3}, 11);
-  CandidateYield rb(reference, {-0.4}, 12);
-  ref_scheduler.refine(ra, 50, ref_sims, McOptions{});
-  ref_scheduler.refine(rb, 50, ref_sims, McOptions{});
-  EXPECT_EQ(a.samples(), ra.samples());
-  EXPECT_EQ(a.passes(), ra.passes());
-  EXPECT_EQ(b.samples(), rb.samples());
-  EXPECT_EQ(b.passes(), rb.passes());
+  const auto evicting = run_rounds(/*capacity=*/1);
+  EXPECT_EQ(evicting.opens, 6);
+  EXPECT_EQ(evicting.sched.cold_opens, 6);
+  const auto roomy = run_rounds(/*capacity=*/2);
+  EXPECT_EQ(roomy.opens, 2);
+  EXPECT_EQ(roomy.tallies, evicting.tallies);
 }
 
 // --- Merged job sets, retention, reference yield --------------------------

@@ -1,15 +1,17 @@
 // serve/: the moheco_d serving subsystem.  Covers the submit codec and its
-// strictness, the cache-key discipline (content hash, warm vs result
-// fingerprints), and a live in-process Daemon + ServeClient over a
-// Unix-domain socket / loopback TCP: the CLI-vs-daemon byte-identity gate,
-// result-cache hits (in memory and across a restart), warm-blob near
-// misses, bounded admission, queued/running cancellation, per-client
-// round-robin fairness, and the shutdown op.
+// strictness, the cache-key discipline (content hash, result fingerprint),
+// the result JSON's yield interval, and a live in-process Daemon +
+// ServeClient over a Unix-domain socket / loopback TCP: the CLI-vs-daemon
+// byte-identity gate, result-cache hits (in memory and across a restart),
+// bounded admission, queued/running cancellation, per-client round-robin
+// fairness, and the shutdown op.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "src/common/error.hpp"
+#include "src/common/failpoint.hpp"
 #include "src/common/json.hpp"
 #include "src/common/parallel.hpp"
 #include "src/obs/build_info.hpp"
@@ -29,6 +32,7 @@
 #include "src/serve/daemon.hpp"
 #include "src/serve/job_runner.hpp"
 #include "src/serve/protocol.hpp"
+#include "src/stats/distributions.hpp"
 
 namespace moheco::serve {
 namespace {
@@ -117,7 +121,7 @@ bool wait_for_state(ServeClient& control, std::uint64_t job,
   return false;
 }
 
-// --- cache-key discipline (satellite: warm key is content + validity) -----
+// --- cache-key discipline ------------------------------------------------
 
 TEST(CacheKeys, ContentHashIgnoresPathAndName) {
   const std::string deck = read_file(example_deck_path());
@@ -126,34 +130,128 @@ TEST(CacheKeys, ContentHashIgnoresPathAndName) {
   b.deck_name = "/somewhere/else/copy_of_the_deck.cir";
   // Same bytes, different provenance: one workload identity.
   EXPECT_EQ(deck_content_hash(a.deck_text), deck_content_hash(b.deck_text));
-  EXPECT_EQ(warm_cache_key(a), warm_cache_key(b));
   // The result JSON embeds the name, so the result key must differ...
   EXPECT_NE(result_cache_key(a, 1), result_cache_key(b, 1));
-  // ...and different deck bytes are a different workload for both keys.
+  // ...and different deck bytes are a different workload.
   JobSpec c = estimate_spec(deck + "\n* trailing comment\n", 7);
-  EXPECT_NE(warm_cache_key(a), warm_cache_key(c));
+  EXPECT_NE(deck_content_hash(a.deck_text), deck_content_hash(c.deck_text));
   EXPECT_NE(result_cache_key(a, 1), result_cache_key(c, 1));
 }
 
-TEST(CacheKeys, WarmKeyIgnoresEverythingButBlobValidity) {
+TEST(CacheKeys, ResultKeyCoversSeedWorkersAndTransient) {
   const std::string deck = read_file(example_deck_path());
   const JobSpec base = estimate_spec(deck, 7);
-
-  // Seed, mode, sample count, pool width: all irrelevant to whether a
-  // nominal warm-start blob applies -- the "near miss" fast path.
   JobSpec other_seed = base;
   other_seed.moheco.seed = 8;
-  JobSpec optimize = base;
-  optimize.mode = JobMode::kOptimize;
-  EXPECT_EQ(warm_cache_key(base), warm_cache_key(other_seed));
-  EXPECT_EQ(warm_cache_key(base), warm_cache_key(optimize));
-  EXPECT_NE(result_cache_key(base, 1), result_cache_key(other_seed, 1));
-  EXPECT_NE(result_cache_key(base, 1), result_cache_key(base, 4));
-
-  // Evaluation options DO shape blob validity.
   JobSpec transient = base;
   transient.eval.transient = true;
-  EXPECT_NE(warm_cache_key(base), warm_cache_key(transient));
+  EXPECT_NE(result_cache_key(base, 1), result_cache_key(other_seed, 1));
+  EXPECT_NE(result_cache_key(base, 1), result_cache_key(base, 4));
+  EXPECT_NE(result_cache_key(base, 1), result_cache_key(transient, 1));
+  // The fingerprint names the result format, so rows cached in an older
+  // format (with other keys) miss instead of being replayed.
+  EXPECT_EQ(result_fingerprint(base, 1).rfind("res2 ", 0), 0u);
+}
+
+// --- result JSON: yield intervals -----------------------------------------
+
+TEST(JobRunnerResult, EstimateYieldCiIsTheWilsonInterval) {
+  const std::string deck = read_file(example_deck_path());
+  ThreadPool pool(1);
+  JobRunner runner(pool);
+  const JobSpec spec = estimate_spec(deck, 3, /*samples=*/400);
+  const JobResult result = runner.run(spec);
+  ASSERT_TRUE(result.ok) << result.error;
+  const std::optional<JsonValue> json = parse_json(result.json);
+  ASSERT_TRUE(json.has_value());
+  const double yield = (*json)["yield"].as_number(-1.0);
+  const JsonValue& ci = (*json)["yield_ci"];
+  ASSERT_TRUE(ci.is_array());
+  ASSERT_EQ(ci.size(), 2u);
+  EXPECT_LE(ci.items()[0].as_number(2.0), yield);
+  EXPECT_GE(ci.items()[1].as_number(-1.0), yield);
+  const stats::Interval expected = stats::wilson_interval(
+      std::llround(yield * 400.0), 400, 1.96);
+  EXPECT_EQ(ci.items()[0].as_number(), expected.lo);
+  EXPECT_EQ(ci.items()[1].as_number(), expected.hi);
+  // The interval sits next to the yield, before the sample count.
+  const std::vector<std::string>& keys = json->member_names();
+  const auto at = [&keys](const char* key) {
+    return std::find(keys.begin(), keys.end(), key) - keys.begin();
+  };
+  EXPECT_EQ(at("yield_ci"), at("yield") + 1);
+}
+
+TEST(JobRunnerResult, OptimizeYieldCiFollowsBestYield) {
+  const std::string deck = read_file(example_deck_path());
+  JobSpec spec = estimate_spec(deck, 5);
+  spec.mode = JobMode::kOptimize;
+  spec.moheco.population = 8;
+  spec.moheco.max_generations = 1;
+  ThreadPool pool(1);
+  JobRunner runner(pool);
+  const JobResult result = runner.run(spec);
+  ASSERT_TRUE(result.ok) << result.error;
+  const std::optional<JsonValue> json = parse_json(result.json);
+  ASSERT_TRUE(json.has_value());
+  const long long samples = (*json)["best_samples"].as_int();
+  ASSERT_GT(samples, 0);
+  const double best = (*json)["best_yield"].as_number(-1.0);
+  const stats::Interval expected = stats::wilson_interval(
+      std::llround(best * static_cast<double>(samples)), samples, 1.96);
+  const JsonValue& ci = (*json)["yield_ci"];
+  ASSERT_EQ(ci.size(), 2u);
+  EXPECT_EQ(ci.items()[0].as_number(), expected.lo);
+  EXPECT_EQ(ci.items()[1].as_number(), expected.hi);
+  EXPECT_LE(expected.lo, best);
+  EXPECT_GE(expected.hi, best);
+  const std::vector<std::string>& keys = json->member_names();
+  const auto at = [&keys](const char* key) {
+    return std::find(keys.begin(), keys.end(), key) - keys.begin();
+  };
+  EXPECT_EQ(at("yield_ci"), at("best_yield") + 1);
+}
+
+TEST(JobRunnerResult, QuarantinedEstimateHasNoYieldCi) {
+  // The estimate's only session open fails, so the candidate is
+  // quarantined and none of its samples is tallied: the reported yield is
+  // 0 over no evidence, and an interval over `samples` would be false.
+  const std::string deck = read_file(example_deck_path());
+  ThreadPool pool(1);
+  JobRunner runner(pool);
+  fail::arm("session_open=hit:1");
+  const JobResult result = runner.run(estimate_spec(deck, 3));
+  fail::disarm();
+  ASSERT_TRUE(result.ok) << result.error;
+  const std::optional<JsonValue> json = parse_json(result.json);
+  ASSERT_TRUE(json.has_value());
+  EXPECT_EQ((*json)["fail_breakdown"]["quarantine_open"].as_int(), 1);
+  EXPECT_FALSE(json->has("yield_ci"));
+}
+
+TEST(JobRunnerResult, OptimizeWithoutSamplesHasNoYieldCi) {
+  // An unreachable gain spec fails every nominal screen, so the reported
+  // best member was never sampled (best_samples == 0): no interval.
+  std::string deck = read_file(example_deck_path());
+  const std::string spec_card = ".spec a0_db >= 34 ";
+  const std::size_t at = deck.find(spec_card);
+  ASSERT_NE(at, std::string::npos);
+  deck.replace(at, spec_card.size(), ".spec a0_db >= 400 ");
+  JobSpec spec;
+  spec.deck_name = "unreachable.cir";
+  spec.deck_text = deck;
+  spec.mode = JobMode::kOptimize;
+  spec.moheco.seed = 5;
+  spec.moheco.population = 8;
+  spec.moheco.max_generations = 1;
+  ThreadPool pool(1);
+  JobRunner runner(pool);
+  const JobResult result = runner.run(spec);
+  ASSERT_TRUE(result.ok) << result.error;
+  const std::optional<JsonValue> json = parse_json(result.json);
+  ASSERT_TRUE(json.has_value());
+  EXPECT_EQ((*json)["best_samples"].as_int(-1), 0);
+  EXPECT_FALSE(json->has("yield_ci"));
 }
 
 // --- submit codec ---------------------------------------------------------
@@ -200,7 +298,6 @@ TEST(Protocol, SubmitCodecRoundTrips) {
   EXPECT_TRUE(decoded.want_sized_deck);
   // The fingerprints agree, so daemon-side cache keys match client intent.
   EXPECT_EQ(result_fingerprint(decoded, 3), result_fingerprint(spec, 3));
-  EXPECT_EQ(warm_cache_key(decoded), warm_cache_key(spec));
 }
 
 TEST(Protocol, SubmitDecodeIsStrict) {
@@ -308,7 +405,6 @@ TEST(Daemon, ServesBitIdenticalResultsAndCachesRepeats) {
   EXPECT_TRUE(first["ok"].as_bool());
   EXPECT_EQ(first["state"].as_string(), "done");
   EXPECT_FALSE(first["cached"].as_bool(true));
-  EXPECT_FALSE(first["warm_hit"].as_bool(true));
   // THE serving contract: the daemon's result bytes are exactly what a
   // local run emits -- raw() relays the embedded object unmodified.
   EXPECT_EQ(first["result"].raw(), reference.json);
@@ -319,14 +415,16 @@ TEST(Daemon, ServesBitIdenticalResultsAndCachesRepeats) {
   EXPECT_TRUE(second["cached"].as_bool());
   EXPECT_EQ(second["result"].raw(), reference.json);
 
-  // Same deck, new seed: a result-cache miss but a warm-blob near miss.
-  client.send(encode_submit(estimate_spec(deck, 12), ""));
+  // Same deck, new seed: a result-cache miss, byte-identical to its own
+  // local run.
+  const JobSpec new_seed = estimate_spec(deck, 12);
+  const JobResult local_new_seed = local.run(new_seed);
+  ASSERT_TRUE(local_new_seed.ok) << local_new_seed.error;
+  client.send(encode_submit(new_seed, ""));
   const JsonValue third = read_terminal(client);
   EXPECT_TRUE(third["ok"].as_bool());
   EXPECT_FALSE(third["cached"].as_bool(true));
-  EXPECT_TRUE(third["warm_hit"].as_bool());
-  EXPECT_GT(third["warm_blobs_imported"].as_int(), 0);
-  EXPECT_GT(third["result"]["warm_blobs_imported"].as_int(), 0);
+  EXPECT_EQ(third["result"].raw(), local_new_seed.json);
 
   // Nominal mode with a sized deck rides the same byte-identity contract.
   JobSpec nominal = estimate_spec(deck, 11);
@@ -345,11 +443,10 @@ TEST(Daemon, ServesBitIdenticalResultsAndCachesRepeats) {
   EXPECT_EQ(stats["completed"].as_int(), 4);
   EXPECT_EQ(stats["result_hits"].as_int(), 1);
   EXPECT_EQ(stats["result_misses"].as_int(), 3);
-  EXPECT_EQ(stats["warm_hit_jobs"].as_int(), 2);
   EXPECT_EQ(stats["workers"].as_int(), 1);
 }
 
-TEST(Daemon, ResultAndWarmCachesSurviveARestart) {
+TEST(Daemon, ResultCacheSurvivesARestart) {
   const std::string deck = read_file(example_deck_path());
   TempDir dir;
   DaemonOptions options;
@@ -380,14 +477,9 @@ TEST(Daemon, ResultAndWarmCachesSurviveARestart) {
   const JsonValue repeat = read_terminal(client);
   EXPECT_TRUE(repeat["cached"].as_bool());
   EXPECT_EQ(repeat["result"].raw(), first_bytes);
-  // New seed: the warm-blob snapshot also survived the restart.
-  client.send(encode_submit(estimate_spec(deck, 6), ""));
-  const JsonValue warm = read_terminal(client);
-  EXPECT_TRUE(warm["ok"].as_bool());
-  EXPECT_TRUE(warm["warm_hit"].as_bool());
   const JsonValue stats = client.request(encode_op("stats"));
   EXPECT_EQ(stats["result_hits"].as_int(), 1);
-  EXPECT_EQ(stats["warm_hit_jobs"].as_int(), 1);
+  EXPECT_EQ(stats["result_misses"].as_int(), 0);
 }
 
 TEST(Daemon, BoundedAdmissionRejectsExplicitly) {
@@ -652,6 +744,10 @@ TEST(Daemon, StatsExposesObservabilitySnapshot) {
   // ...and the observability extension rides alongside them.
   EXPECT_GE(stats["uptime_ms"].as_int(), 0);
   EXPECT_DOUBLE_EQ(stats["result_hit_rate"].as_number(-1.0), 0.5);
+  // No warm-start cache, so no warm_* stats.
+  for (const std::string& key : stats.member_names()) {
+    EXPECT_NE(key.rfind("warm_", 0), 0u) << key;
+  }
   ASSERT_TRUE(stats["build"].is_object());
   EXPECT_EQ(stats["build"]["version"].as_string(), obs::version());
   ASSERT_TRUE(stats["build"]["simd_caps"].is_object());

@@ -87,8 +87,11 @@ TEST(Distributions, WilsonIntervalCoversPointEstimate) {
   EXPECT_GT(ci.lo, 0.7);
   EXPECT_LT(ci.hi, 0.9);
   const Interval all = wilson_interval(100, 100, 1.96);
-  EXPECT_LE(all.hi, 1.0);
+  EXPECT_EQ(all.hi, 1.0);  // brackets p = 1 exactly, despite rounding
   EXPECT_LT(all.lo, 1.0);
+  const Interval none = wilson_interval(0, 100, 1.96);
+  EXPECT_EQ(none.lo, 0.0);
+  EXPECT_GT(none.hi, 0.0);
 }
 
 TEST(Samplers, PmcRowIndependentOfBatchSize) {
